@@ -33,8 +33,8 @@ from .sandpile import (
 )
 from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
-TABLE_GUARDS = {"bounds": 9, "bipartite": 7, "dec-vs-split": 11, "conjecture": 7}
-TABLE_DEFAULTS = {"bounds": 9, "bipartite": 7, "dec-vs-split": 11, "conjecture": 7}
+# Per table: the least size that gives it cells, and the default and largest size without --force.
+TABLE_GUARDS = {"bounds": (1, 9), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
 
 
 def _emit(args, text: str) -> None:
@@ -116,11 +116,13 @@ def cmd_fibre(args) -> int:
 
 def cmd_table(args) -> int:
     which = args.which
-    max_n = args.max_n if args.max_n is not None else TABLE_DEFAULTS[which]
-    max_m = args.max_m if args.max_m is not None else TABLE_DEFAULTS[which]
-    guard = TABLE_GUARDS[which]
-    over = max_n > guard or (which == "bipartite" and max_m > guard)
-    if over and not args.force:
+    least, guard = TABLE_GUARDS[which]
+    max_n = args.max_n if args.max_n is not None else guard
+    max_m = args.max_m if args.max_m is not None else guard
+    sizes = (max_m, max_n) if which == "bipartite" else (max_n,)
+    if min(sizes) < least:
+        raise ValueError(f"{which} needs sizes of at least {least}: a smaller one leaves no cells")
+    if max(sizes) > guard and not args.force:
         raise ValueError(f"requested size above guard {guard} for {which} (use --force)")
     if which == "bounds":
         table = tables.bounds_table(max_n, jobs=args.jobs)
@@ -219,6 +221,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvpark",
@@ -226,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for tables")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for tables (at most one per CPU and cell)")
     common.add_argument("--force", action="store_true", help="override size guards")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the randomised abelian checks only")

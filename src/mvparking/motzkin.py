@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .parking import _mvp_final, check_preference, is_parking_function, NotAParkingFunction
+from .parking import _mvp, check_preference, is_parking_function, NotAParkingFunction
 from .perms import dec
 from .subgraphs import subgraph_to_pf
 
@@ -152,11 +152,11 @@ def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
     if not is_motzkin_pf(prefs):
         raise NotAMotzkinParkingFunction(f"some spot preferred >2 times in {prefs}")
     n = len(prefs)
-    target = list(dec(n))
-    hits = [q for q in _distinct_rearrangements(prefs) if _mvp_final(q, n) == target]
+    target = [0, *dec(n)]
+    hits = [q for q in _distinct_rearrangements(prefs) if _mvp(q, n) == target]
     if len(hits) != 1:
         raise AssertionError(
-            f"expected exactly one rearrangement of {prefs} parking to {target}, got {len(hits)}"
+            f"expected exactly one rearrangement of {prefs} parking to {dec(n)}, got {len(hits)}"
         )
     return hits[0]
 

@@ -93,29 +93,13 @@ def _classical_spots(prefs, n):
     return spots
 
 
-def _mvp_spots(prefs, n):
-    """Spot occupancy and bump log under the MVP rule, or (None, None)."""
-    spots = [0] * (n + 1)
-    log = []
-    for car in range(1, n + 1):
-        s = prefs[car - 1]
-        bumped = spots[s]
-        spots[s] = car
-        if bumped:
-            t = s + 1
-            while t <= n and spots[t]:
-                t += 1
-            if t > n:
-                return None, None
-            spots[t] = bumped
-            log.append(BumpEvent(bumped, s, t))
-    return spots, log
+def _mvp(prefs, n, log=None):
+    """Car per spot under the MVP rule, or None if a bumped car exits.
 
-
-def _mvp_final(prefs, n):
-    """Car per spot (list of length n) under the MVP rule, or None.
-
-    Hot path for fibre enumeration: no validation, no bump log.
+    The list is padded: spots[i] holds the car in spot i and spots[0] is
+    unused, so hot callers compare it with [0, *word] without slicing.  No
+    validation; each bump is appended to `log` as a BumpEvent when a list
+    is passed.
     """
     spots = [0] * (n + 1)
     for car in range(1, n + 1):
@@ -129,13 +113,15 @@ def _mvp_final(prefs, n):
             if t > n:
                 return None
             spots[t] = bumped
-    return spots[1:]
+            if log is not None:
+                log.append(BumpEvent(bumped, s, t))
+    return spots
 
 
 def is_parking_function(p: Iterable[int]) -> bool:
     """True iff all cars park (same answer for classical and MVP rules)."""
     prefs = check_preference(p)
-    return _classical_spots(prefs, len(prefs)) is not None
+    return _mvp(prefs, len(prefs)) is not None
 
 
 def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:
@@ -150,7 +136,8 @@ def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:
 def outcome_mvp(p: Iterable[int]) -> MvpOutcome:
     """Outcome permutation of the MVP process together with its bump log."""
     prefs = check_preference(p)
-    spots, log = _mvp_spots(prefs, len(prefs))
+    log: list[BumpEvent] = []
+    spots = _mvp(prefs, len(prefs), log)
     if spots is None:
         raise NotAParkingFunction(f"{prefs} is not a parking function")
     return MvpOutcome(tuple(spots[1:]), tuple(log))

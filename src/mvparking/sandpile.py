@@ -102,6 +102,15 @@ def is_stable(c: Iterable[int]) -> bool:
     return all(x < n for x in cfg)
 
 
+def _fire(cfg: list[int], v: int) -> list[int]:
+    """Topple vertex v (0-based) in place, unchecked, and return `cfg`."""
+    n = len(cfg)
+    for u in range(n):
+        cfg[u] += 1
+    cfg[v] -= n + 1
+    return cfg
+
+
 def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
     """Topple vertex i: it loses n grains, every other vertex gains one."""
     cfg = check_config(c)
@@ -110,7 +119,7 @@ def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
         raise IndexError(f"vertex {i} outside [1, {n}]")
     if cfg[i - 1] < n:
         raise VertexStable(f"vertex {i} holds {cfg[i - 1]} < {n} grains")
-    return tuple(x - n if k == i - 1 else x + 1 for k, x in enumerate(cfg))
+    return tuple(_fire(list(cfg), i - 1))
 
 
 def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -126,10 +135,7 @@ def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         v = next((k for k in range(n) if cfg[k] >= n), None)
         if v is None:
             return tuple(cfg), tuple(seq)
-        cfg[v] -= n
-        for u in range(n):
-            if u != v:
-                cfg[u] += 1
+        _fire(cfg, v)
         seq.append(v + 1)
 
 
@@ -154,10 +160,7 @@ def is_recurrent(c: Iterable[int]) -> bool:
         progress = False
         for v in range(n):
             if not burnt[v] and work[v] >= n:
-                work[v] -= n
-                for u in range(n):
-                    if u != v:
-                        work[u] += 1
+                _fire(work, v)
                 burnt[v] = True
                 remaining -= 1
                 progress = True

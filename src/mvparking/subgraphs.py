@@ -18,11 +18,11 @@ count from n! to the n-th Bell number.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .parking import _mvp_final, check_preference, outcome_mvp
+from .parking import _mvp, check_preference, outcome_mvp
 from .perms import check_permutation, left_inversion_lists
 
 __all__ = [
@@ -87,24 +87,13 @@ def check_one_subgraph(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> fr
 def enumerate_one_subgraphs(pi: Iterable[int]) -> Iterator[frozenset[tuple[int, int]]]:
     """Yield every 1-subgraph of the inversion graph of pi exactly once.
 
-    Mixed-radix walk: for each vertex i = 1..n pick "no left-arc" or one
-    source j in ascending order, vertex 1 varying slowest.
+    Mixed-radix walk: for each vertex i = 1..n pick "no left-arc" (None) or
+    one arc (j, i) with j ascending, vertex 1 varying slowest.
     """
     word = check_permutation(pi)
-    n = len(word)
     linv = left_inversion_lists(word)
-
-    def walk(i: int, chosen: list[tuple[int, int]]) -> Iterator[frozenset[tuple[int, int]]]:
-        if i > n:
-            yield frozenset(chosen)
-            return
-        yield from walk(i + 1, chosen)
-        for j in linv[i]:
-            chosen.append((j, i))
-            yield from walk(i + 1, chosen)
-            chosen.pop()
-
-    return walk(1, [])
+    radices = [[None, *((j, i) for j in linv[i])] for i in range(1, len(word) + 1)]
+    return (frozenset(filter(None, pick)) for pick in product(*radices))
 
 
 def count_one_subgraphs(pi: Iterable[int]) -> int:
@@ -149,7 +138,7 @@ def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
     """
     word = check_permutation(pi)
     prefs = subgraph_to_pf(arcs, word)
-    return _mvp_final(prefs, len(word)) == list(word)
+    return _mvp(prefs, len(word)) == [0, *word]
 
 
 def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:
@@ -173,46 +162,56 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _walk_valid(word, prune_p2, emit):
-    """DFS over the 1-subgraph choice tree, calling emit(prefs, chosen) at
-    every leaf whose induced preference parks back to `word`.
+def _walk(word, prune_p2, leaf):
+    """DFS over the 1-subgraph choice tree of `word`, calling
+    leaf(prefs, chosen, hs) at every leaf, in enumerate_one_subgraphs order.
 
-    `prefs` and `chosen` are reused buffers; emit must copy what it keeps.
-    With prune_p2, branches creating a directed two-arc path are skipped,
-    which is sound because no such subgraph is valid.
+    `prefs` (the induced preference) and `chosen` (the arcs) are reused
+    buffers; leaf must copy what it keeps.  Targets ascend, so a new arc
+    (j, i) keeps the subgraph horizontally separated iff j > `last`, the
+    last target; `last` is n + 1 once it is not HS.  With prune_p2, branches
+    creating a directed two-arc path are skipped, which is sound because no
+    such subgraph is valid, or HS.
     """
     n = len(word)
     linv = left_inversion_lists(word)
-    target = list(word)
     prefs = [0] * n
     chosen: list[tuple[int, int]] = []
     has_left = [False] * (n + 1)
 
-    def walk(i: int) -> None:
+    def walk(i: int, last: int) -> None:
         if i > n:
-            if _mvp_final(prefs, n) == target:
-                emit(prefs, chosen)
+            leaf(prefs, chosen, last <= n)
             return
         car = word[i - 1]
         prefs[car - 1] = i
-        walk(i + 1)
-        wrote_arc = False
+        walk(i + 1, last)
         for j in linv[i]:
             if prune_p2 and has_left[j]:
                 continue
             prefs[car - 1] = j
-            if wrote_arc:
-                chosen[-1] = (j, i)
-            else:
-                chosen.append((j, i))
-                has_left[i] = True
-                wrote_arc = True
-            walk(i + 1)
-        if wrote_arc:
+            chosen.append((j, i))
+            has_left[i] = True
+            walk(i + 1, i if j > last else n + 1)
             chosen.pop()
-            has_left[i] = False
+        has_left[i] = False
 
-    walk(1)
+    walk(1, 0)
+
+
+def _valid_leaves(word, prune_p2, keep):
+    """keep(prefs, chosen) of every leaf whose induced preference parks
+    back to `word`, in walk order."""
+    n = len(word)
+    target = [0, *word]
+    found = []
+
+    def leaf(prefs, chosen, _hs):
+        if _mvp(prefs, n) == target:
+            found.append(keep(prefs, chosen))
+
+    _walk(word, prune_p2, leaf)
+    return found
 
 
 def fibre_via_subgraphs(pi: Iterable[int], prune_p2: bool = True) -> list[tuple[int, ...]]:
@@ -221,18 +220,13 @@ def fibre_via_subgraphs(pi: Iterable[int], prune_p2: bool = True) -> list[tuple[
     Returned lexicographically sorted.
     """
     word = check_permutation(pi)
-    found: list[tuple[int, ...]] = []
-    _walk_valid(word, prune_p2, lambda prefs, _arcs: found.append(tuple(prefs)))
-    found.sort()
-    return found
+    return sorted(_valid_leaves(word, prune_p2, lambda prefs, _arcs: tuple(prefs)))
 
 
 def valid_subgraphs(pi: Iterable[int], prune_p2: bool = True) -> list[frozenset[tuple[int, int]]]:
     """All valid 1-subgraphs of the inversion graph of pi."""
     word = check_permutation(pi)
-    found: list[frozenset[tuple[int, int]]] = []
-    _walk_valid(word, prune_p2, lambda _prefs, arcs: found.append(frozenset(arcs)))
-    return found
+    return _valid_leaves(word, prune_p2, lambda _prefs, arcs: frozenset(arcs))
 
 
 def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
@@ -244,56 +238,30 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
     n = len(word)
     if n > cap:
         raise SizeCapExceeded(f"n={n} above brute-force cap {cap}")
-    target = list(word)
+    target = [0, *word]
     return [
         prefs
         for prefs in product(range(1, n + 1), repeat=n)
-        if _mvp_final(prefs, n) == target
+        if _mvp(prefs, n) == target
     ]
 
 
 def p2_free_count(pi: Iterable[int]) -> int:
     """Number of P2-free 1-subgraphs (no simulation, pruned walk)."""
-    word = check_permutation(pi)
-    n = len(word)
-    linv = left_inversion_lists(word)
-    has_left = [False] * (n + 1)
-
-    def walk(i: int) -> int:
-        if i > n:
-            return 1
-        total = walk(i + 1)
-        free = [j for j in linv[i] if not has_left[j]]
-        if free:
-            has_left[i] = True
-            for _ in free:
-                total += walk(i + 1)
-            has_left[i] = False
-        return total
-
-    return walk(1)
+    leaves = count()
+    _walk(check_permutation(pi), True, lambda _prefs, _arcs, _hs: next(leaves))
+    return next(leaves)
 
 
 def hs_count(pi: Iterable[int]) -> int:
-    """Number of horizontally separated 1-subgraphs.
+    """Number of horizontally separated 1-subgraphs (no simulation).
 
-    Processing vertices left to right keeps arc targets ascending, so a new
-    arc (j, i) is admissible iff j lies strictly right of the last target.
+    HS arcs share no endpoint, so every HS subgraph is P2-free and the
+    pruned walk reaches all of them.
     """
-    word = check_permutation(pi)
-    n = len(word)
-    linv = left_inversion_lists(word)
-
-    def walk(i: int, last_target: int) -> int:
-        if i > n:
-            return 1
-        total = walk(i + 1, last_target)
-        for j in linv[i]:
-            if j > last_target:
-                total += walk(i + 1, i)
-        return total
-
-    return walk(1, 0)
+    leaves = count()
+    _walk(check_permutation(pi), True, lambda _prefs, _arcs, hs: hs and next(leaves))
+    return next(leaves)
 
 
 class FibreBounds(NamedTuple):
@@ -305,14 +273,29 @@ class FibreBounds(NamedTuple):
 
 
 def bounds(pi: Iterable[int]) -> FibreBounds:
-    """The sandwich single_arc <= HS <= fibre <= P2-free <= product for pi."""
+    """The sandwich single_arc <= HS <= fibre <= P2-free <= product for pi.
+
+    One P2-pruned walk counts all three middle terms: it reaches every
+    valid and every HS subgraph, since both are P2-free.
+    """
     word = check_permutation(pi)
+    n = len(word)
+    target = [0, *word]
+    p2free = hits = hs_leaves = 0
+
+    def leaf(prefs, _chosen, hs):
+        nonlocal p2free, hits, hs_leaves
+        p2free += 1
+        hs_leaves += hs
+        hits += _mvp(prefs, n) == target
+
+    _walk(word, True, leaf)
     n_inv = sum(len(s) for s in left_inversion_lists(word)[1:])
     return FibreBounds(
         product_upper=count_one_subgraphs(word),
-        p2free_count=p2_free_count(word),
-        fibre_size=len(fibre_via_subgraphs(word)),
-        hs_count=hs_count(word),
+        p2free_count=p2free,
+        fibre_size=hits,
+        hs_count=hs_leaves,
         single_arc_lower=1 + n_inv,
     )
 

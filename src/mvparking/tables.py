@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -52,10 +53,17 @@ class ReportTable:
         return [row[k] for row in self.rows]
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for `tasks` independent cells: at least one, and
+    never more than asked for, than there are cells, or than there are CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _map_jobs(fn, specs, jobs):
-    if jobs <= 1:
+    workers = _workers(jobs, len(specs))
+    if workers == 1:
         return [fn(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, specs))
 
 
@@ -125,11 +133,8 @@ def _conjecture_chunk(spec) -> list[int]:
 
 def _conjecture_row(n: int, jobs: int) -> list[Cell]:
     total = factorial(n)
-    if jobs <= 1:
-        chunks = [(n, 0, total)]
-    else:
-        step = -(-total // jobs)
-        chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    step = -(-total // _workers(jobs, total))
+    chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     sizes: list[int] = []
     for part in _map_jobs(_conjecture_chunk, chunks, jobs):
         sizes.extend(part)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mvparking import cli, tables
+from mvparking import cli, tables, verify
 
 
 def test_report_table_arity_checked():
@@ -248,3 +248,70 @@ def test_cli_bad_arguments_exit_2(capsys):
         cli.main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs the cells in this process, so no worker is ever started."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, specs):
+        return map(fn, specs)
+
+
+def test_jobs_clamped_to_cells_and_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(tables, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert tables.bounds_table(3, jobs=64).rows == tables.bounds_table(3).rows
+    assert tables.bounds_table(9, jobs=64).rows == tables.bounds_table(9).rows
+    assert tables.dec_vs_split_table(5, jobs=64).rows == tables.dec_vs_split_table(5).rows
+    assert tables.conjecture_table(4, jobs=64).rows == tables.conjecture_table(4).rows
+    assert tables.bounds_table(1, jobs=64).rows == [[1, 1, 1, 1, 1]]
+    assert _SerialPool.started == [3, 4, 3, 3, 4]  # conjecture: one pool per n = 3, 4
+    code, _, _ = run_cli(capsys, "table", "bounds", "--max-n", "2", "--jobs", "64")
+    assert code == 0 and _SerialPool.started[-1] == 2
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    tables.bounds_table(5, jobs=8)
+    assert len(_SerialPool.started) == 6
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_jobs_below_one_exit_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "bounds", "--max-n", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--max-n", "0"],
+    ["bounds", "--max-n", "-2"],
+    ["bipartite", "--max-m", "0", "--max-n", "2"],
+    ["bipartite", "--max-m", "2", "--max-n", "0"],
+    ["dec-vs-split", "--max-n", "2"],
+    ["conjecture", "--max-n", "2"],
+])
+def test_cli_table_rejects_sizes_without_cells(capsys, argv):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2 and not out and "at least" in err
+
+
+def test_verify_fails_when_no_case_is_checked(capsys):
+    result = verify.run_suite("thm-2.5", n=0)
+    assert not result.passed and result.checked == 0
+    for argv in (["--suite", "thm-2.5", "--n", "0"],
+                 ["--suite", "thm-4.1", "--m", "-1"],
+                 ["--suite", "thm-6.3", "--n", "2"]):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1 and "FAIL (0 cases" in out
