@@ -3,6 +3,9 @@
 Exit codes: 0 success (and every verify suite PASS), 1 property failure
 (a verify suite or a both-methods fibre comparison found a mismatch), 2
 usage or contract errors (unparseable input, preconditions, guard limits).
+
+Each `cmd_*` returns its exit status and an `_Output`; `main` alone renders
+that output in the requested format and writes it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import tables, verify
 from .motzkin import (
@@ -35,86 +39,63 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
 # Per table: the least size that gives it cells, and the default and largest size without --force.
 TABLE_GUARDS = {"bounds": (1, 9), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
+# Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
+NONCROSS_GUARD = 14
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+class _Output(NamedTuple):
+    """What one command produced: `text` is written by --format pretty,
+    `data` dumped by --format json and `table` rendered by --format csv.
+    An output with no text is rendered from its table in every format."""
+
+    text: str | None
+    data: object
+    table: tables.ReportTable | None = None
 
 
-def _scalar_format(args) -> None:
-    if args.format == "csv":
-        raise ValueError("csv format is only available for table-shaped output")
-
-
-def cmd_outcome(args) -> int:
-    _scalar_format(args)
+def cmd_outcome(args) -> tuple[int, _Output]:
     prefs = parse_preference(args.prefs)
     if args.model == "classical":
         word, bumps = outcome_classical(prefs), ()
     else:
         word, bumps = outcome_mvp(prefs)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "model": args.model,
-            "preference": list(prefs),
-            "outcome": format_permutation(word),
-            "bumps": [list(b) for b in bumps],
-        }, indent=2))
-        return 0
     lines = [format_permutation(word)]
     if args.trace:
         lines += [f"bump: car {b.car} from spot {b.from_spot} to spot {b.to_spot}" for b in bumps]
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, _Output("\n".join(lines), {
+        "model": args.model,
+        "preference": list(prefs),
+        "outcome": format_permutation(word),
+        "bumps": [list(b) for b in bumps],
+    })
 
 
-def _fibre_table(word, fibre) -> tables.ReportTable:
-    n = len(word)
-    return tables.ReportTable(
-        name=f"fibre-{format_permutation(word)}",
-        headers=[f"p{k}" for k in range(1, n + 1)],
-        rows=[list(p) for p in fibre],
-        metadata={"permutation": format_permutation(word), "size": len(fibre)},
-    )
-
-
-def cmd_fibre(args) -> int:
+def cmd_fibre(args) -> tuple[int, _Output]:
     word = parse_permutation(args.perm)
-    status = 0
-    if args.method == "subgraph":
-        fibre = fibre_via_subgraphs(word, prune_p2=not args.no_prune)
-    elif args.method == "brute":
+    if args.method == "brute":
         fibre = fibre_brute(word)
     else:
         fibre = fibre_via_subgraphs(word, prune_p2=not args.no_prune)
-        other = fibre_brute(word)
-        status = 0 if fibre == other else 1
-    if args.format == "csv":
-        _emit(args, tables.render_csv(_fibre_table(word, fibre)))
-    elif args.format == "json":
-        payload = {"permutation": format_permutation(word),
-                   "fibre": [format_preference(p) for p in fibre],
-                   "size": len(fibre)}
-        if args.method == "both":
-            payload["methods_agree"] = status == 0
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [format_preference(p) for p in fibre]
-        lines.append(f"size {len(fibre)}")
-        if args.method == "both":
-            lines.append("PASS subgraph and brute-force enumerations agree"
-                         if status == 0 else
-                         "FAIL subgraph and brute-force enumerations differ")
-        _emit(args, "\n".join(lines))
-    return status
+    status = 1 if args.method == "both" and fibre != fibre_brute(word) else 0
+    perm = format_permutation(word)
+    prefs = [format_preference(p) for p in fibre]
+    data = {"permutation": perm, "fibre": prefs, "size": len(fibre)}
+    lines = [*prefs, f"size {len(fibre)}"]
+    if args.method == "both":
+        data["methods_agree"] = status == 0
+        lines.append("PASS subgraph and brute-force enumerations agree"
+                     if status == 0 else
+                     "FAIL subgraph and brute-force enumerations differ")
+    table = tables.ReportTable(
+        name=f"fibre-{perm}",
+        headers=[f"p{k}" for k in range(1, len(word) + 1)],
+        rows=[list(p) for p in fibre],
+        metadata={"permutation": perm, "size": len(fibre)},
+    )
+    return status, _Output("\n".join(lines), data, table)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, _Output]:
     which = args.which
     least, guard = TABLE_GUARDS[which]
     max_n = args.max_n if args.max_n is not None else guard
@@ -132,45 +113,35 @@ def cmd_table(args) -> int:
         table = tables.dec_vs_split_table(max_n, jobs=args.jobs)
     else:
         table = tables.conjecture_table(max_n, jobs=args.jobs)
-    renderer = {"pretty": tables.render_pretty, "csv": tables.render_csv,
-                "json": tables.render_json}[args.format]
-    _emit(args, renderer(table))
-    return 0
+    return 0, _Output(None, None, table)
 
 
-def cmd_motzkin(args) -> int:
-    _scalar_format(args)
+def cmd_motzkin(args) -> tuple[int, _Output]:
     sub = args.sub
+    if sub in ("phi", "rep") and not args.prefs:
+        raise ValueError(f"{sub} requires -p/--prefs")
     if sub == "phi":
-        if not args.prefs:
-            raise ValueError("phi requires -p/--prefs")
         result = preference_path(parse_preference(args.prefs))
     elif sub == "inverse":
         if args.path is None:
             raise ValueError("inverse requires --path")
         result = format_preference(path_to_preference(args.path))
     elif sub == "rep":
-        if not args.prefs:
-            raise ValueError("rep requires -p/--prefs")
         result = format_preference(decreasing_representative(parse_preference(args.prefs)))
     else:  # noncross
         if args.n is None:
             raise ValueError("noncross requires -n")
-        matchings = list(noncrossing_matchings(args.n))
-        if args.count:
-            result = str(len(matchings))
-        else:
-            result = "\n".join(format_arcs(m) for m in matchings)
-    if args.format == "json":
-        _emit(args, json.dumps({"command": f"motzkin {sub}", "result": result.split("\n")
-                                if "\n" in result else result}, indent=2))
-    else:
-        _emit(args, result)
-    return 0
+        if args.n > NONCROSS_GUARD and not args.force:
+            raise ValueError(f"requested size above guard {NONCROSS_GUARD} for noncross (use --force)")
+        matchings = noncrossing_matchings(args.n)
+        if not args.count:
+            arcs = [format_arcs(m) for m in matchings]
+            return 0, _Output("\n".join(arcs), {"command": "motzkin noncross", "result": arcs})
+        result = str(sum(1 for _ in matchings))
+    return 0, _Output(result, {"command": f"motzkin {sub}", "result": result})
 
 
-def cmd_sandpile(args) -> int:
-    _scalar_format(args)
+def cmd_sandpile(args) -> tuple[int, _Output]:
     sub = args.sub
     lines: list[str] = []
     if sub == "mvp-outcome":
@@ -199,26 +170,17 @@ def cmd_sandpile(args) -> int:
                         f"decrement c_{st.target}: {st.before} -> {st.after}")
         else:  # cantop
             lines.append(format_permutation(canonical_toppling(cfg)))
-    if args.format == "json":
-        _emit(args, json.dumps({"command": f"sandpile {sub}", "result": lines[0],
-                                "trace": lines[1:]}, indent=2))
-    else:
-        _emit(args, "\n".join(lines))
-    return 0
+    return 0, _Output("\n".join(lines),
+                      {"command": f"sandpile {sub}", "result": lines[0], "trace": lines[1:]})
 
 
-def cmd_verify(args) -> int:
-    _scalar_format(args)
+def cmd_verify(args) -> tuple[int, _Output]:
     names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, n=args.n, m=args.m, seed=args.seed)
-    if args.format == "json":
-        _emit(args, json.dumps([{
-            "suite": r.name, "passed": r.passed, "checked": r.checked,
-            "detail": r.detail, "counterexample": r.counterexample,
-        } for r in results], indent=2))
-    else:
-        _emit(args, "\n".join(r.summary() for r in results))
-    return 0 if all(r.passed for r in results) else 1
+    status = 0 if all(r.passed for r in results) else 1
+    return status, _Output("\n".join(r.summary() for r in results), [
+        {"suite": r.name, "passed": r.passed, "checked": r.checked,
+         "detail": r.detail, "counterexample": r.counterexample} for r in results])
 
 
 def _positive_int(text: str) -> int:
@@ -235,17 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for tables (at most one per CPU and cell)")
-    common.add_argument("--force", action="store_true", help="override size guards")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomised abelian checks only")
-    common.add_argument("--trace", action="store_true", help="print per-step details")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("outcome", parents=[common], help="run one parking process")
     p.add_argument("--model", choices=["classical", "mvp"], required=True)
     p.add_argument("-p", "--prefs", required=True, metavar="PREFS")
+    p.add_argument("--trace", action="store_true", help="print each bump")
     p.set_defaults(func=cmd_outcome)
 
     p = sub.add_parser("fibre", parents=[common], help="enumerate an outcome fibre")
@@ -259,6 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["bounds", "bipartite", "dec-vs-split", "conjecture"])
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at most one per CPU and cell)")
+    p.add_argument("--force", action="store_true", help="override the size guard")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("motzkin", parents=[common],
@@ -268,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", metavar="STEPS")
     p.add_argument("-n", type=int, metavar="N")
     p.add_argument("--count", action="store_true", help="print the count only")
+    p.add_argument("--force", action="store_true", help="override the noncross size guard")
     p.set_defaults(func=cmd_motzkin)
 
     p = sub.add_parser("sandpile", parents=[common], help="sandpile operations on K_n")
@@ -275,12 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
                                    "minrec-classical", "cantop", "mvp-outcome"])
     p.add_argument("-c", "--config", metavar="CONFIG")
     p.add_argument("-p", "--prefs", metavar="PREFS")
+    p.add_argument("--trace", action="store_true", help="print the toppling or reduction steps")
     p.set_defaults(func=cmd_sandpile)
 
     p = sub.add_parser("verify", parents=[common], help="run exhaustive property suites")
     p.add_argument("--suite", choices=["all"] + verify.SUITE_NAMES, default="all")
     p.add_argument("--n", type=int, default=None, help="override the n cap")
     p.add_argument("--m", type=int, default=None, help="override the m cap")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomised abelian checks only")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -288,7 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.format == "csv" and args.command not in ("fibre", "table"):
+            raise ValueError("csv format is only available for table-shaped output")
+        status, out = args.func(args)
+        if args.format == "csv" or out.text is None:
+            render = {"pretty": tables.render_pretty, "csv": tables.render_csv,
+                      "json": tables.render_json}[args.format]
+            text = render(out.table)
+        else:
+            text = json.dumps(out.data, indent=2) if args.format == "json" else out.text
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

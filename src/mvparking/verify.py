@@ -2,14 +2,15 @@
 
 Each suite sweeps a whole family of inputs (all permutations, all parking
 functions, all subgraphs, ...) up to a size cap, checks one contract of the
-library against an independent route, and reports the number of cases
-checked plus the first counterexample on failure.
+library against an independent route, and returns the number of cases
+checked with what was checked, or raises `_Counterexample` at the first
+failing case; `run_suite` turns either into a `SuiteResult`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
@@ -74,6 +75,11 @@ class SuiteResult:
         return line
 
 
+class _Counterexample(Exception):
+    """Raised by a suite at its first failing case, with the arguments
+    (cases checked so far, what was checked, the counterexample)."""
+
+
 def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     for p in product(range(1, n + 1), repeat=n):
         if _mvp(p, n) is not None:
@@ -88,7 +94,7 @@ def _motzkin_numbers(upto: int) -> list[int]:
     return m
 
 
-def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p in _parking_functions(n):
@@ -96,8 +102,8 @@ def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
             back = subgraph_to_pf(pf_to_subgraph(p), word)
             checked += 1
             if back != p:
-                return SuiteResult(
-                    "thm-2.5", False, checked, "round-trip through the subgraph map",
+                raise _Counterexample(
+                    checked, "round-trip through the subgraph map",
                     f"p={format_preference(p)} came back as {format_preference(back)}")
     inj_cap = min(n_cap, 6)  # sum of subgraph counts over S_7 is already huge
     for n in range(1, inj_cap + 1):
@@ -105,16 +111,14 @@ def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
             images = [subgraph_to_pf(s, word) for s in enumerate_one_subgraphs(word)]
             checked += len(images)
             if len(set(images)) != len(images):
-                return SuiteResult(
-                    "thm-2.5", False, checked, "injectivity over all 1-subgraphs",
-                    f"pi={format_permutation(word)} has colliding images")
-    return SuiteResult(
-        "thm-2.5", True, checked,
+                raise _Counterexample(checked, "injectivity over all 1-subgraphs",
+                                      f"pi={format_permutation(word)} has colliding images")
+    return checked, (
         f"round-trip over all parking functions (n<={n_cap}) "
         f"and injectivity over all 1-subgraphs (n<={inj_cap})")
 
 
-def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
@@ -124,37 +128,31 @@ def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
             n_sub = count_one_subgraphs(word)
             all_valid = len(valid_subgraphs(word)) == n_sub
             if not (by_pattern == by_search == all_valid):
-                return SuiteResult(
-                    "thm-2.8", False, checked,
-                    "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
+                raise _Counterexample(
+                    checked, "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
                     f"pi={format_permutation(word)}: patterns={by_pattern} "
                     f"search={by_search} all_valid={all_valid}")
             if by_pattern and len(fibre_via_subgraphs(word)) != n_sub:
-                return SuiteResult(
-                    "thm-2.8", False, checked, "product formula on acyclic graphs",
-                    f"pi={format_permutation(word)}")
-    return SuiteResult(
-        "thm-2.8", True, checked,
+                raise _Counterexample(checked, "product formula on acyclic graphs",
+                                      f"pi={format_permutation(word)}")
+    return checked, (
         f"all permutations with n<={n_cap}: acyclic <=> 321/3412-avoiding <=> "
         "every 1-subgraph valid, with the product formula when acyclic")
 
 
-def _suite_prop_2_9(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_prop_2_9(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p in _parking_functions(n):
             checked += 1
             via_arcs = sum(i - j for j, i in pf_to_subgraph(p))
             if displacement_mvp(p) != via_arcs:
-                return SuiteResult(
-                    "prop-2.9", False, checked, "displacement equals total arc length",
-                    f"p={format_preference(p)}")
-    return SuiteResult(
-        "prop-2.9", True, checked,
-        f"displacement identity over all parking functions with n<={n_cap}")
+                raise _Counterexample(checked, "displacement equals total arc length",
+                                      f"p={format_preference(p)}")
+    return checked, f"displacement identity over all parking functions with n<={n_cap}"
 
 
-def _subgraph_implication(name, n_cap, premise_holds, conclusion_holds, detail):
+def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
@@ -162,29 +160,26 @@ def _subgraph_implication(name, n_cap, premise_holds, conclusion_holds, detail):
             for sub in enumerate_one_subgraphs(word):
                 checked += 1
                 if premise_holds(sub, valid) and not conclusion_holds(sub, valid):
-                    return SuiteResult(
-                        name, False, checked, detail,
-                        f"pi={format_permutation(word)} S={{{format_arcs(sub)}}}")
-    return SuiteResult(name, True, checked, detail)
+                    raise _Counterexample(checked, detail,
+                                          f"pi={format_permutation(word)} S={{{format_arcs(sub)}}}")
+    return checked, detail
 
 
-def _suite_prop_2_10(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_prop_2_10(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
-        "prop-2.10", n_cap,
-        premise_holds=lambda sub, valid: sub in valid,
+        n_cap, premise_holds=lambda sub, valid: sub in valid,
         conclusion_holds=lambda sub, valid: is_p2_free(sub),
         detail=f"valid implies P2-free, all 1-subgraphs of all permutations, n<={n_cap}")
 
 
-def _suite_prop_2_11(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_prop_2_11(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
-        "prop-2.11", n_cap,
-        premise_holds=lambda sub, valid: is_hs(sub),
+        n_cap, premise_holds=lambda sub, valid: is_hs(sub),
         conclusion_holds=lambda sub, valid: sub in valid,
         detail=f"HS implies valid, all 1-subgraphs of all permutations, n<={n_cap}")
 
 
-def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p in product(range(1, n + 1), repeat=n):
@@ -192,16 +187,13 @@ def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
             parks = _mvp(p, n) is not None
             two_per_spot = all(p.count(v) <= 2 for v in set(p))
             if (parks and two_per_spot) != is_motzkin_path(preference_path(p)):
-                return SuiteResult(
-                    "thm-3.2", False, checked,
-                    "two-cars-per-spot parking functions <=> Motzkin popularity path",
+                raise _Counterexample(
+                    checked, "two-cars-per-spot parking functions <=> Motzkin popularity path",
                     f"p={format_preference(p)} path={preference_path(p)}")
-    return SuiteResult(
-        "thm-3.2", True, checked,
-        f"all preference vectors with n<={n_cap}: membership matches the path test")
+    return checked, f"all preference vectors with n<={n_cap}: membership matches the path test"
 
 
-def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     motzkin = _motzkin_numbers(n_cap)
     for n in range(1, n_cap + 1):
@@ -209,32 +201,26 @@ def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
         valid = set(valid_subgraphs(dec(n)))
         checked += len(noncross)
         if noncross != valid or len(valid) != motzkin[n]:
-            return SuiteResult(
-                "thm-3.8", False, checked,
-                "valid decreasing subgraphs = non-crossing matchings",
+            raise _Counterexample(
+                checked, "valid decreasing subgraphs = non-crossing matchings",
                 f"n={n}: |noncross|={len(noncross)} |valid|={len(valid)} "
                 f"motzkin={motzkin[n]}")
-    return SuiteResult(
-        "thm-3.8", True, checked,
-        f"set equality and Motzkin counts for n<={n_cap}")
+    return checked, f"set equality and Motzkin counts for n<={n_cap}"
 
 
-def _suite_thm_4_1(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_4_1(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for m in range(0, m_cap + 1):
         checked += 1
         got = len(fibre_via_subgraphs(bipart(m, 2)))
         want = m + 1 + ((m + 1) ** 2) // 2
         if got != want:
-            return SuiteResult(
-                "thm-4.1", False, checked, "closed formula for the bipartite fibre",
-                f"m={m}: enumerated {got}, formula {want}")
-    return SuiteResult(
-        "thm-4.1", True, checked,
-        f"enumerated fibre equals m+1+floor((m+1)^2/2) for m=0..{m_cap}")
+            raise _Counterexample(checked, "closed formula for the bipartite fibre",
+                                  f"m={m}: enumerated {got}, formula {want}")
+    return checked, f"enumerated fibre equals m+1+floor((m+1)^2/2) for m=0..{m_cap}"
 
 
-def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p in _parking_functions(n):
@@ -242,21 +228,18 @@ def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
             cfg = preference_to_config(p)
             via_sandpile = canonical_toppling(minrec(cfg))
             if via_sandpile != outcome_mvp(p).outcome:
-                return SuiteResult(
-                    "thm-5.5", False, checked, "sandpile route vs direct MVP outcome",
-                    f"p={format_preference(p)}")
+                raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
+                                      f"p={format_preference(p)}")
             via_classical = canonical_toppling(minrec_classical(cfg))
             if via_classical != outcome_classical(p):
-                return SuiteResult(
-                    "thm-5.5", False, checked, "classical variant vs direct outcome",
-                    f"p={format_preference(p)}")
-    return SuiteResult(
-        "thm-5.5", True, checked,
+                raise _Counterexample(checked, "classical variant vs direct outcome",
+                                      f"p={format_preference(p)}")
+    return checked, (
         f"both outcome maps recovered through the sandpile for every parking "
         f"function with n<={n_cap}")
 
 
-def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
+def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(3, n_cap + 1):
         source = valid_subgraphs(dec(n))
@@ -264,25 +247,23 @@ def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> SuiteResult:
         checked += len(source)
         target = set(valid_subgraphs(split_left(2, n - 2)))
         if len(set(images)) != len(images):
-            return SuiteResult(
-                "thm-6.3", False, checked, "injectivity of the arc surgery",
-                f"n={n}")
+            raise _Counterexample(checked, "injectivity of the arc surgery", f"n={n}")
         if set(images) != target:
             missing = target - set(images)
             extra = set(images) - target
-            return SuiteResult(
-                "thm-6.3", False, checked, "image equals the split valid set",
-                f"n={n}: missing={len(missing)} extra={len(extra)}")
-    return SuiteResult(
-        "thm-6.3", True, checked,
-        f"bijection onto the split permutation's valid subgraphs for n<={n_cap}")
+            raise _Counterexample(checked, "image equals the split valid set",
+                                  f"n={n}: missing={len(missing)} extra={len(extra)}")
+    return checked, f"bijection onto the split permutation's valid subgraphs for n<={n_cap}"
 
 
-def _suite_abelian(n_cap: int, m_cap: int, seed: int, cases: int = 200) -> SuiteResult:
+_ABELIAN_CASES = 200  # random recurrent configurations per n
+
+
+def _suite_abelian(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     rng = random.Random(seed)
     checked = 0
     for n in range(1, n_cap + 1):
-        for _ in range(cases):
+        for _ in range(_ABELIAN_CASES):
             while True:
                 p = tuple(rng.randint(1, n) for _ in range(n))
                 if is_parking_function(p):
@@ -298,12 +279,10 @@ def _suite_abelian(n_cap: int, m_cap: int, seed: int, cases: int = 200) -> Suite
                     cfg = topple(cfg, rng.choice(unstable))
                 checked += 1
                 if cfg != reference:
-                    return SuiteResult(
-                        "abelian", False, checked, "stabilisation is order-independent",
-                        f"start={start}: {cfg} != {reference}")
-    return SuiteResult(
-        "abelian", True, checked,
-        f"randomised toppling order, {cases} random recurrent configurations "
+                    raise _Counterexample(checked, "stabilisation is order-independent",
+                                          f"start={start}: {cfg} != {reference}")
+    return checked, (
+        f"randomised toppling order, {_ABELIAN_CASES} random recurrent configurations "
         f"per n<={n_cap}, 3 trials each (seed={seed})")
 
 
@@ -332,10 +311,14 @@ def run_suite(name: str, n: int | None = None, m: int | None = None, seed: int =
     fn, defaults = _SUITES[name]
     n_cap = n if n is not None else defaults.get("n", 6)
     m_cap = m if m is not None else defaults.get("m", 8)
-    result = fn(n_cap, m_cap, seed)
-    if result.checked == 0:
-        result = replace(result, passed=False, detail=f"caps leave no case to check; {result.detail}")
-    return result
+    try:
+        checked, detail = fn(n_cap, m_cap, seed)
+        counterexample = None
+    except _Counterexample as failure:
+        checked, detail, counterexample = failure.args
+    if checked == 0:
+        detail = f"caps leave no case to check; {detail}"
+    return SuiteResult(name, counterexample is None and checked > 0, checked, detail, counterexample)
 
 
 def run_suites(names: list[str], n: int | None = None, m: int | None = None,

@@ -117,6 +117,14 @@ def test_cli_fibre(capsys):
     assert out.splitlines() == ["1,2,3", "size 1"]
     code, out, _ = run_cli(capsys, "fibre", "--perm", "7654321", "--method", "subgraph")
     assert code == 0 and out.splitlines()[-1] == "size 127"
+    code, out, _ = run_cli(capsys, "fibre", "--perm", "312", "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "permutation": "312", "fibre": ["1,1,1", "1,3,1", "2,1,1", "2,3,1"], "size": 4}
+    code, out, _ = run_cli(capsys, "fibre", "--perm", "312", "--method", "both",
+                           "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "permutation": "312", "fibre": ["1,1,1", "1,3,1", "2,1,1", "2,3,1"], "size": 4,
+        "methods_agree": True}
 
 
 def test_cli_fibre_csv_round_trip(capsys):
@@ -143,6 +151,49 @@ def test_cli_motzkin(capsys):
     assert code == 0 and out.strip() == "21"
     code, out, _ = run_cli(capsys, "motzkin", "noncross", "-n", "3")
     assert sorted(out.splitlines()) == ["", "1-2", "1-3", "2-3"]
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["motzkin", "phi", "-p", "2,2,1,4,3,6,4,6"],
+     {"command": "motzkin phi", "result": "HUHUDUDD"}),
+    (["motzkin", "inverse", "--path", "HH"], {"command": "motzkin inverse", "result": "1,2"}),
+    (["motzkin", "rep", "-p", "1,1,2"], {"command": "motzkin rep", "result": "1,2,1"}),
+    (["motzkin", "noncross", "-n", "5", "--count"],
+     {"command": "motzkin noncross", "result": "21"}),
+    (["motzkin", "noncross", "-n", "3"],
+     {"command": "motzkin noncross", "result": ["", "2-3", "1-2", "1-3"]}),
+    (["motzkin", "noncross", "-n", "1"], {"command": "motzkin noncross", "result": [""]}),
+    (["motzkin", "noncross", "-n", "0"], {"command": "motzkin noncross", "result": [""]}),
+    (["sandpile", "stabilise", "-c", "3,0,0", "--trace"],
+     {"command": "sandpile stabilise", "result": "0,1,1", "trace": ["toppled: 1"]}),
+    (["sandpile", "stabilise", "-c", "3,0,0"],
+     {"command": "sandpile stabilise", "result": "0,1,1", "trace": []}),
+    (["sandpile", "recurrent", "-c", "0,0"],
+     {"command": "sandpile recurrent", "result": "not recurrent", "trace": []}),
+    (["sandpile", "minrec-classical", "-c", "1,3,3,2", "--trace"],
+     {"command": "sandpile minrec-classical", "result": "1,3,2,0",
+      "trace": ["iteration 1: duplicate at j=3, decrement c_3: 3 -> 2",
+                "iteration 2: duplicate at j=4, decrement c_4: 2 -> 0"]}),
+    (["sandpile", "minrec", "-c", "2,4,3,0,1"],
+     {"command": "sandpile minrec", "result": "2,4,3,0,1", "trace": []}),
+    (["sandpile", "cantop", "-c", "2,4,3,0,1"],
+     {"command": "sandpile cantop", "result": "23154", "trace": []}),
+    (["sandpile", "mvp-outcome", "-p", "3,1,1,2"],
+     {"command": "sandpile mvp-outcome", "result": "3412", "trace": []}),
+])
+def test_cli_scalar_json_shape(capsys, argv, data):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == data
+
+
+def test_cli_noncross_guard(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "motzkin", "noncross", "-n", "15", "--count")
+    assert code == 2 and not out and "guard" in err
+    monkeypatch.setattr(cli, "NONCROSS_GUARD", 3)
+    code, out, err = run_cli(capsys, "motzkin", "noncross", "-n", "4")
+    assert code == 2 and not out and "guard 3" in err
+    code, out, _ = run_cli(capsys, "motzkin", "noncross", "-n", "4", "--count", "--force")
+    assert code == 0 and out == "9\n"
 
 
 def test_cli_motzkin_errors(capsys):
@@ -189,6 +240,11 @@ def test_cli_sandpile_contract_errors(capsys):
 
 
 def test_cli_table_csv_golden(capsys):
+    code, out, _ = run_cli(capsys, "table", "bounds", "--max-n", "5", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and list(data) == ["name", "headers", "rows", "metadata"]
+    assert data["rows"] == tables.bounds_table(5).rows
+    assert data["metadata"]["max_n"] == 5
     code, out, _ = run_cli(capsys, "table", "bounds", "--max-n", "5", "--format", "csv")
     assert code == 0
     assert out == (
@@ -235,6 +291,12 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0 and not out
     headers, rows = tables.parse_csv(target.read_text(encoding="utf-8"))
     assert headers[0] == "n" and rows[2] == [3, 6, 5, 4, 4]
+    target = tmp_path / "outcome.txt"
+    code, out, _ = run_cli(capsys, "outcome", "--model", "mvp", "-p", "3,1,1,2",
+                           "--trace", "--out", str(target))
+    assert code == 0 and not out
+    assert target.read_text(encoding="utf-8") == (
+        "3412\nbump: car 2 from spot 1 to spot 2\nbump: car 2 from spot 2 to spot 4\n")
 
 
 def test_cli_csv_rejected_for_scalars(capsys):
@@ -248,6 +310,25 @@ def test_cli_bad_arguments_exit_2(capsys):
         cli.main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["outcome", "--model", "mvp", "-p", "1", "--jobs", "2"],
+    ["outcome", "--model", "mvp", "-p", "1", "--seed", "3"],
+    ["fibre", "--perm", "1", "--force"],
+    ["fibre", "--perm", "1", "--trace"],
+    ["table", "bounds", "--max-n", "1", "--seed", "1"],
+    ["table", "bounds", "--max-n", "1", "--trace"],
+    ["motzkin", "noncross", "-n", "1", "--jobs", "2"],
+    ["sandpile", "recurrent", "-c", "0", "--force"],
+    ["verify", "--suite", "thm-4.1", "--m", "1", "--jobs", "2"],
+    ["verify", "--suite", "thm-4.1", "--m", "1", "--trace"],
+])
+def test_cli_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class _SerialPool:
@@ -315,3 +396,18 @@ def test_verify_fails_when_no_case_is_checked(capsys):
                  ["--suite", "thm-6.3", "--n", "2"]):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 1 and "FAIL (0 cases" in out
+
+
+def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "displacement_mvp", lambda p: -1)
+    result = verify.run_suite("prop-2.9", n=1)
+    assert (result.passed, result.checked, result.counterexample) == (False, 1, "p=1")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop-2.9", "--n", "1")
+    assert code == 1 and out.splitlines() == [
+        "prop-2.9: FAIL (1 cases; displacement equals total arc length)",
+        "  counterexample: p=1",
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop-2.9", "--n", "1", "--format", "json")
+    assert code == 1 and json.loads(out) == [{
+        "suite": "prop-2.9", "passed": False, "checked": 1,
+        "detail": "displacement equals total arc length", "counterexample": "p=1"}]
