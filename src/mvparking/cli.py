@@ -1,8 +1,9 @@
 """Command-line surface: outcomes, fibres, tables, sandpile ops, verify suites.
 
 Exit codes: 0 success (and every verify suite PASS), 1 property failure
-(a verify suite or a both-methods fibre comparison found a mismatch), 2
-usage or contract errors (unparseable input, preconditions, guard limits).
+(a verify suite, a both-methods fibre comparison or a table's identity
+check found a mismatch), 2 usage or contract errors (unparseable input,
+preconditions, guard limits, options the subcommand does not read).
 
 Each `cmd_*` returns its exit status and an `_Output`; `main` alone renders
 that output in the requested format and writes it.
@@ -41,6 +42,12 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 TABLE_GUARDS = {"bounds": (1, 9), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
+# The options each `motzkin` and `sandpile` subcommand reads; giving it another exits 2.
+SUB_READS = {
+    "phi": {"prefs"}, "inverse": {"path"}, "rep": {"prefs"}, "noncross": {"n", "count", "force"},
+    "stabilise": {"config", "trace"}, "recurrent": {"config"}, "minrec": {"config", "trace"},
+    "minrec-classical": {"config", "trace"}, "cantop": {"config"}, "mvp-outcome": {"prefs"},
+}
 
 
 class _Output(NamedTuple):
@@ -72,11 +79,13 @@ def cmd_outcome(args) -> tuple[int, _Output]:
 
 def cmd_fibre(args) -> tuple[int, _Output]:
     word = parse_permutation(args.perm)
+    # Brute force first: it refuses n above its cap before any walk starts.
+    brute = fibre_brute(word) if args.method != "subgraph" else None
     if args.method == "brute":
-        fibre = fibre_brute(word)
+        fibre = brute
     else:
         fibre = fibre_via_subgraphs(word, prune_p2=not args.no_prune)
-    status = 1 if args.method == "both" and fibre != fibre_brute(word) else 0
+    status = 1 if args.method == "both" and fibre != brute else 0
     perm = format_permutation(word)
     prefs = [format_preference(p) for p in fibre]
     data = {"permutation": perm, "fibre": prefs, "size": len(fibre)}
@@ -113,10 +122,20 @@ def cmd_table(args) -> tuple[int, _Output]:
         table = tables.dec_vs_split_table(max_n, jobs=args.jobs)
     else:
         table = tables.conjecture_table(max_n, jobs=args.jobs)
-    return 0, _Output(None, None, table)
+    return (1 if table.failures else 0), _Output(None, None, table)
+
+
+def _refuse_unread(args) -> None:
+    """Refuse an option that the chosen motzkin or sandpile subcommand does not read."""
+    for dest, value in vars(args).items():
+        if (dest not in ("command", "sub", "func", "format", "out")
+                and value is not None and value is not False and dest not in SUB_READS[args.sub]):
+            flag = "-n" if dest == "n" else f"--{dest}"
+            raise ValueError(f"{args.command} {args.sub} does not read {flag}")
 
 
 def cmd_motzkin(args) -> tuple[int, _Output]:
+    _refuse_unread(args)
     sub = args.sub
     if sub in ("phi", "rep") and not args.prefs:
         raise ValueError(f"{sub} requires -p/--prefs")
@@ -142,6 +161,7 @@ def cmd_motzkin(args) -> tuple[int, _Output]:
 
 
 def cmd_sandpile(args) -> tuple[int, _Output]:
+    _refuse_unread(args)
     sub = args.sub
     lines: list[str] = []
     if sub == "mvp-outcome":
@@ -267,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+        for line in out.table.failures if out.table else ():
+            print(line, file=sys.stderr)
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ no directed two-arc path i -> j -> k (P2-free, necessary), and any subgraph
 whose arcs are pairwise horizontally disjoint, endpoints included, is valid
 (HS, sufficient).  The P2-free filter is what makes exhaustive fibre
 enumeration feasible: for the decreasing permutation it cuts the candidate
-count from n! to the n-th Bell number.
+count from n! to the n-th Bell number.  Fibre sizes alone are counted
+without walking subgraphs, by `fibre_size`; the walks stay as its oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "count_one_subgraphs",
     "enumerate_one_subgraphs",
     "fibre_brute",
+    "fibre_size",
     "fibre_via_subgraphs",
     "format_arcs",
     "hs_count",
@@ -246,6 +248,52 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
     ]
 
 
+def fibre_size(pi: Iterable[int]) -> int:
+    """Size of the MVP outcome fibre of pi, counted without listing it.
+
+    A dynamic program over the cars in arrival order.  Level c maps each
+    occupancy reachable after cars 1..c have parked (padded bytes, spot ->
+    car, 0 for empty, as `_mvp` pads) to the number of preference prefixes
+    reaching it.  Occupied spots never empty and cars only move right, so a
+    branch dies as soon as a car sits right of its final spot, or a spot
+    whose final occupant has arrived holds another car.  Hence car c only
+    prefers a spot p <= F(c) whose final occupant is c or later, and only
+    F(c) itself when another car holds it.  Only two levels are alive; the
+    old one is consumed as the new one grows.  Cars are stored as bytes, so
+    n is at most 255.
+    """
+    word = check_permutation(pi)
+    n = len(word)
+    target = bytes([0, *word])
+    final = [0] * (n + 1)
+    for spot, car in enumerate(word, start=1):
+        final[car] = spot
+    level = {bytes(n + 1): 1}
+    for car in range(1, n + 1):
+        home = final[car]
+        choices = [p for p in range(1, home + 1) if target[p] >= car]
+        nxt: dict[bytes, int] = {}
+        while level:
+            state, ways = level.popitem()
+            spots = bytearray(state)
+            for p in (home,) if spots[home] else choices:
+                bumped = spots[p]
+                spots[p] = car
+                if bumped:
+                    t = spots.find(0, p + 1)
+                    if 0 < t <= final[bumped] and (t == final[bumped] or target[t] > car):
+                        spots[t] = bumped
+                        key = bytes(spots)
+                        nxt[key] = nxt.get(key, 0) + ways
+                        spots[t] = 0
+                else:
+                    key = bytes(spots)
+                    nxt[key] = nxt.get(key, 0) + ways
+                spots[p] = bumped
+        level = nxt
+    return level.get(target, 0)
+
+
 def p2_free_count(pi: Iterable[int]) -> int:
     """Number of P2-free 1-subgraphs (no simulation, pruned walk)."""
     leaves = count()
@@ -275,26 +323,23 @@ class FibreBounds(NamedTuple):
 def bounds(pi: Iterable[int]) -> FibreBounds:
     """The sandwich single_arc <= HS <= fibre <= P2-free <= product for pi.
 
-    One P2-pruned walk counts all three middle terms: it reaches every
-    valid and every HS subgraph, since both are P2-free.
+    One P2-pruned walk counts the P2-free and the HS leaves (every HS
+    subgraph is P2-free); fibre_size counts the fibre.
     """
     word = check_permutation(pi)
-    n = len(word)
-    target = [0, *word]
-    p2free = hits = hs_leaves = 0
+    p2free = hs_leaves = 0
 
-    def leaf(prefs, _chosen, hs):
-        nonlocal p2free, hits, hs_leaves
+    def leaf(_prefs, _chosen, hs):
+        nonlocal p2free, hs_leaves
         p2free += 1
         hs_leaves += hs
-        hits += _mvp(prefs, n) == target
 
     _walk(word, True, leaf)
     n_inv = sum(len(s) for s in left_inversion_lists(word)[1:])
     return FibreBounds(
         product_upper=count_one_subgraphs(word),
         p2free_count=p2free,
-        fibre_size=hits,
+        fibre_size=fibre_size(word),
         hs_count=hs_leaves,
         single_arc_lower=1 + n_inv,
     )

@@ -1,9 +1,12 @@
 """Report tables for the desk-scale enumerations, with CSV/JSON rendering.
 
-Every cell is computed by exhaustive enumeration (P2-pruned where sound);
-nothing is read from a stored table.  Builders accept a `jobs` argument to
-fan independent cells out over worker processes; results are merged in
-canonical order so output is identical regardless of job count.
+Every cell is an exact count: fibre sizes come from the car-order dynamic
+program `fibre_size`, the P2-free and HS counts from the P2-pruned subgraph
+walk; nothing is read from a stored table.  Builders accept a `jobs`
+argument to fan independent cells out over worker processes; results are
+merged in canonical order so output is identical regardless of job count.
+A table lists each identity check it failed in `failures`, which no
+renderer writes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import islice, permutations
 from math import factorial
 
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import bounds, fibre_via_subgraphs
+from .subgraphs import bounds, fibre_size
 
 __all__ = [
     "ReportTable",
@@ -42,6 +45,7 @@ class ReportTable:
     headers: list[str]
     rows: list[list[Cell]]
     metadata: dict = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -86,7 +90,7 @@ def bounds_table(max_n: int, jobs: int = 1) -> ReportTable:
 
 def _bipartite_cell(spec: tuple[int, int]) -> int:
     m, n = spec
-    return len(fibre_via_subgraphs(bipart(m, n)))
+    return fibre_size(bipart(m, n))
 
 
 def bipartite_table(max_m: int, max_n: int, jobs: int = 1) -> ReportTable:
@@ -101,15 +105,12 @@ def bipartite_table(max_m: int, max_n: int, jobs: int = 1) -> ReportTable:
         name="bipartite",
         headers=["n"] + [f"m{m}" for m in range(1, max_m + 1)],
         rows=rows,
-        metadata={"max_m": max_m, "max_n": max_n, "prune_p2": True,
-                  "wall_time_s": round(time.perf_counter() - t0, 3)},
+        metadata={"max_m": max_m, "max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
     )
 
 
 def _dec_vs_split_row(n: int) -> list[Cell]:
-    dec_size = len(fibre_via_subgraphs(dec(n)))
-    split_size = len(fibre_via_subgraphs(split_right(2, n - 2)))
-    return [n, dec_size, split_size]
+    return [n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))]
 
 
 def dec_vs_split_table(max_n: int, jobs: int = 1) -> ReportTable:
@@ -120,24 +121,27 @@ def dec_vs_split_table(max_n: int, jobs: int = 1) -> ReportTable:
         name="dec-vs-split",
         headers=["n", "dec", "split"],
         rows=rows,
-        metadata={"max_n": max_n, "prune_p2": True,
-                  "wall_time_s": round(time.perf_counter() - t0, 3)},
+        metadata={"max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
     )
 
 
 def _conjecture_chunk(spec) -> list[int]:
     n, lo, hi = spec
     words = islice(permutations(range(1, n + 1)), lo, hi)
-    return [len(fibre_via_subgraphs(word)) for word in words]
+    return [fibre_size(word) for word in words]
 
 
-def _conjecture_row(n: int, jobs: int) -> list[Cell]:
+def _conjecture_row(n: int, jobs: int, failures: list[str]) -> list[Cell]:
     total = factorial(n)
     step = -(-total // _workers(jobs, total))
     chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     sizes: list[int] = []
     for part in _map_jobs(_conjecture_chunk, chunks, jobs):
         sizes.extend(part)
+    parking_functions = (n + 1) ** (n - 1)
+    if sum(sizes) != parking_functions:
+        failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {sum(sizes)}, "
+                        f"not (n+1)^(n-1) = {parking_functions}")
     best = max(sizes)
     argmax = [k for k, s in enumerate(sizes) if s == best]
     perms_list = list(permutations(range(1, n + 1)))
@@ -158,17 +162,20 @@ def _conjecture_row(n: int, jobs: int) -> list[Cell]:
 def conjecture_table(max_n: int, jobs: int = 1) -> ReportTable:
     """Exhaustive fibre-size maxima over whole symmetric groups, n = 3..max_n.
 
-    Data for the largest-fibre question only; proves nothing.
+    Data for the largest-fibre question only; proves nothing.  Each row
+    checks that its fibres partition the (n+1)^(n-1) parking functions.
     """
     t0 = time.perf_counter()
-    rows = [_conjecture_row(n, jobs) for n in range(3, max_n + 1)]
+    failures: list[str] = []
+    rows = [_conjecture_row(n, jobs, failures) for n in range(3, max_n + 1)]
     return ReportTable(
         name="conjecture",
         headers=["n", "max_fibre", "argmax_count", "split_fibre", "dec_fibre",
                  "split_is_max", "first_argmax"],
         rows=rows,
-        metadata={"max_n": max_n, "prune_p2": True, "exhaustive_over": "S_n",
+        metadata={"max_n": max_n, "exhaustive_over": "S_n",
                   "wall_time_s": round(time.perf_counter() - t0, 3)},
+        failures=failures,
     )
 
 

@@ -3,10 +3,12 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvparking.parking import displacement_mvp, is_parking_function
-from mvparking.perms import dec, split_right
+from mvparking.perms import bipart, dec, split_right
 from mvparking.subgraphs import (
+    FibreBounds,
     NotASubgraph,
     SizeCapExceeded,
     bounds,
@@ -14,6 +16,7 @@ from mvparking.subgraphs import (
     count_one_subgraphs,
     enumerate_one_subgraphs,
     fibre_brute,
+    fibre_size,
     fibre_via_subgraphs,
     format_arcs,
     hs_count,
@@ -132,6 +135,47 @@ def test_pruning_does_not_change_fibres():
     for word in (dec(5), split_right(2, 3)):
         assert fibre_via_subgraphs(word, prune_p2=True) == fibre_via_subgraphs(word, prune_p2=False)
         assert sorted(valid_subgraphs(word, True)) == sorted(valid_subgraphs(word, False))
+
+
+def test_fibre_size_matches_the_subgraph_walk_and_partitions_the_parking_functions():
+    for n in range(1, 8):
+        total = 0
+        for word in permutations(range(1, n + 1)):
+            size = fibre_size(word)
+            assert size == len(fibre_via_subgraphs(word)), word
+            total += size
+        assert total == (n + 1) ** (n - 1)
+
+
+def test_fibre_size_matches_brute_force():
+    for n in range(1, 6):
+        for word in permutations(range(1, n + 1)):
+            assert fibre_size(word) == len(fibre_brute(word)), word
+
+
+def test_fibre_size_pinned_paper_cells():
+    assert fibre_size(bipart(7, 7)) == 11337
+    assert fibre_size(dec(11)) == 5798
+    assert fibre_size(split_right(2, 9)) == 6385
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_fibre_size_matches_the_walk_on_random_permutations(word):
+    assert fibre_size(word) == len(fibre_via_subgraphs(word))
+
+
+def test_bounds_match_walk_and_simulate_reference():
+    for n in range(1, 7):
+        for word in permutations(range(1, n + 1)):
+            n_inv = sum(word[a] > word[b] for a in range(n) for b in range(a + 1, n))
+            assert bounds(word) == FibreBounds(
+                product_upper=count_one_subgraphs(word),
+                p2free_count=p2_free_count(word),
+                fibre_size=len(fibre_via_subgraphs(word)),
+                hs_count=hs_count(word),
+                single_arc_lower=1 + n_inv,
+            ), word
 
 
 def test_bounds_goldens():

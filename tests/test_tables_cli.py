@@ -135,9 +135,17 @@ def test_cli_fibre_csv_round_trip(capsys):
     assert rows == [[1, 1, 1], [1, 3, 1], [2, 1, 1], [2, 3, 1]]
 
 
-def test_cli_fibre_brute_cap(capsys):
+def test_cli_fibre_brute_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "fibre", "--perm", "87654321", "--method", "brute")
     assert code == 2 and "cap" in err
+
+    def walk(*_args, **_kwargs):
+        raise AssertionError("walked before the brute-force cap was checked")
+
+    monkeypatch.setattr(cli, "fibre_via_subgraphs", walk)
+    code, out, err = run_cli(capsys, "fibre", "--perm", "11,10,9,8,7,6,5,4,3,2,1",
+                             "--method", "both")
+    assert code == 2 and not out and err == "error: n=11 above brute-force cap 7\n"
 
 
 def test_cli_motzkin(capsys):
@@ -230,6 +238,23 @@ def test_cli_sandpile_trace(capsys):
     assert lines[0] == "11,7,5,6,1,2,3,8,4,9,10,0"
     assert lines[1] == "iteration 1: duplicate at j=6, decrement c_2: 9 -> 7"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["motzkin", "phi", "-p", "1,1", "--count", "-n", "3"], "-n"),
+    (["motzkin", "phi", "-p", "1,1", "-n", "0"], "-n"),
+    (["motzkin", "inverse", "--path", "HH", "-p", "1,1"], "--prefs"),
+    (["motzkin", "rep", "-p", "1,1,2", "--force"], "--force"),
+    (["motzkin", "noncross", "-n", "3", "--path", "HH"], "--path"),
+    (["sandpile", "stabilise", "-c", "3,0,0", "-p", "1,1"], "--prefs"),
+    (["sandpile", "recurrent", "-c", "0,0", "--trace"], "--trace"),
+    (["sandpile", "cantop", "-c", "2,4,3,0,1", "--trace"], "--trace"),
+    (["sandpile", "mvp-outcome", "-p", "3,1,1,2", "-c", "0,0"], "--config"),
+])
+def test_cli_option_the_subcommand_does_not_read_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
 
 
 def test_cli_sandpile_contract_errors(capsys):
@@ -386,6 +411,15 @@ def test_cli_jobs_below_one_exit_2(capsys, jobs):
 def test_cli_table_rejects_sizes_without_cells(capsys, argv):
     code, out, err = run_cli(capsys, "table", *argv)
     assert code == 2 and not out and "at least" in err
+
+
+def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
+    code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "3")
+    assert code == 0 and not err
+    monkeypatch.setattr(tables, "fibre_size", lambda word: 0)
+    code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "3", "--format", "csv")
+    assert code == 1 and out.startswith("n,max_fibre")
+    assert err == "FAIL conjecture n=3: fibre sizes sum to 0, not (n+1)^(n-1) = 16\n"
 
 
 def test_verify_fails_when_no_case_is_checked(capsys):
