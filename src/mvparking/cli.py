@@ -3,10 +3,12 @@
 Exit codes: 0 success (and every verify suite PASS), 1 property failure
 (a verify suite, a both-methods fibre comparison or a table's identity
 check found a mismatch), 2 usage or contract errors (unparseable input,
-preconditions, guard limits, options the subcommand does not read).
+preconditions, guard limits, options the operation does not read).
 
-Each `cmd_*` returns its exit status and an `_Output`; `main` alone renders
-that output in the requested format and writes it.
+Each operation (`outcome`, `table bounds`, `sandpile minrec`, ...) has its own
+argparse parser declaring exactly the options it reads; a `cmd_*` checks only
+rules that span two flags or need parsed input.  Each `cmd_*` returns its exit
+status and an `_Output`; `main` alone renders and writes that output.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 TABLE_GUARDS = {"bounds": (1, 9), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
-# The options each `motzkin` and `sandpile` subcommand reads; giving it another exits 2.
-SUB_READS = {
-    "phi": {"prefs"}, "inverse": {"path"}, "rep": {"prefs"}, "noncross": {"n", "count", "force"},
-    "stabilise": {"config", "trace"}, "recurrent": {"config"}, "minrec": {"config", "trace"},
-    "minrec-classical": {"config", "trace"}, "cantop": {"config"}, "mvp-outcome": {"prefs"},
-}
 
 
 class _Output(NamedTuple):
@@ -78,6 +74,8 @@ def cmd_outcome(args) -> tuple[int, _Output]:
 
 
 def cmd_fibre(args) -> tuple[int, _Output]:
+    if args.method == "brute" and args.no_prune:
+        raise ValueError("fibre --method brute does not read --no-prune")
     word = parse_permutation(args.perm)
     # Brute force first: it refuses n above its cap before any walk starts.
     brute = fibre_brute(word) if args.method != "subgraph" else None
@@ -106,92 +104,62 @@ def cmd_fibre(args) -> tuple[int, _Output]:
 
 def cmd_table(args) -> tuple[int, _Output]:
     which = args.which
-    least, guard = TABLE_GUARDS[which]
-    max_n = args.max_n if args.max_n is not None else guard
-    max_m = args.max_m if args.max_m is not None else guard
-    sizes = (max_m, max_n) if which == "bipartite" else (max_n,)
-    if min(sizes) < least:
-        raise ValueError(f"{which} needs sizes of at least {least}: a smaller one leaves no cells")
+    guard = TABLE_GUARDS[which][1]
+    sizes = (args.max_m, args.max_n) if which == "bipartite" else (args.max_n,)
     if max(sizes) > guard and not args.force:
         raise ValueError(f"requested size above guard {guard} for {which} (use --force)")
     if which == "bounds":
-        table = tables.bounds_table(max_n, jobs=args.jobs)
+        table = tables.bounds_table(args.max_n, jobs=args.jobs)
     elif which == "bipartite":
-        table = tables.bipartite_table(max_m, max_n, jobs=args.jobs)
+        table = tables.bipartite_table(args.max_m, args.max_n, jobs=args.jobs)
     elif which == "dec-vs-split":
-        table = tables.dec_vs_split_table(max_n, jobs=args.jobs)
+        table = tables.dec_vs_split_table(args.max_n, jobs=args.jobs)
     else:
-        table = tables.conjecture_table(max_n, jobs=args.jobs)
+        table = tables.conjecture_table(args.max_n, jobs=args.jobs)
     return (1 if table.failures else 0), _Output(None, None, table)
 
 
-def _refuse_unread(args) -> None:
-    """Refuse an option that the chosen motzkin or sandpile subcommand does not read."""
-    for dest, value in vars(args).items():
-        if (dest not in ("command", "sub", "func", "format", "out")
-                and value is not None and value is not False and dest not in SUB_READS[args.sub]):
-            flag = "-n" if dest == "n" else f"--{dest}"
-            raise ValueError(f"{args.command} {args.sub} does not read {flag}")
-
-
 def cmd_motzkin(args) -> tuple[int, _Output]:
-    _refuse_unread(args)
-    sub = args.sub
-    if sub in ("phi", "rep") and not args.prefs:
-        raise ValueError(f"{sub} requires -p/--prefs")
-    if sub == "phi":
-        result = preference_path(parse_preference(args.prefs))
-    elif sub == "inverse":
-        if args.path is None:
-            raise ValueError("inverse requires --path")
-        result = format_preference(path_to_preference(args.path))
-    elif sub == "rep":
-        result = format_preference(decreasing_representative(parse_preference(args.prefs)))
-    else:  # noncross
-        if args.n is None:
-            raise ValueError("noncross requires -n")
-        if args.n > NONCROSS_GUARD and not args.force:
-            raise ValueError(f"requested size above guard {NONCROSS_GUARD} for noncross (use --force)")
-        matchings = noncrossing_matchings(args.n)
-        if not args.count:
-            arcs = [format_arcs(m) for m in matchings]
-            return 0, _Output("\n".join(arcs), {"command": "motzkin noncross", "result": arcs})
-        result = str(sum(1 for _ in matchings))
-    return 0, _Output(result, {"command": f"motzkin {sub}", "result": result})
+    """Run a `motzkin` operation whose result is one string, `args.op(args)`."""
+    result = args.op(args)
+    return 0, _Output(result, {"command": f"motzkin {args.sub}", "result": result})
+
+
+def cmd_noncross(args) -> tuple[int, _Output]:
+    if args.n > NONCROSS_GUARD and not args.force:
+        raise ValueError(f"requested size above guard {NONCROSS_GUARD} for noncross (use --force)")
+    matchings = noncrossing_matchings(args.n)
+    if args.count:
+        count = str(sum(1 for _ in matchings))
+        return 0, _Output(count, {"command": "motzkin noncross", "result": count})
+    arcs = [format_arcs(m) for m in matchings]
+    return 0, _Output("\n".join(arcs), {"command": "motzkin noncross", "result": arcs})
 
 
 def cmd_sandpile(args) -> tuple[int, _Output]:
-    _refuse_unread(args)
-    sub = args.sub
-    lines: list[str] = []
-    if sub == "mvp-outcome":
-        if not args.prefs:
-            raise ValueError("mvp-outcome requires -p/--prefs")
-        lines.append(format_permutation(mvp_outcome_via_sandpile(parse_preference(args.prefs))))
-    else:
-        if not args.config:
-            raise ValueError(f"{sub} requires -c/--config")
-        cfg = parse_config(args.config)
-        if sub == "stabilise":
-            stable, seq = stabilise(cfg)
-            lines.append(format_config(stable))
-            if args.trace:
-                lines.append("toppled: " + (",".join(map(str, seq)) if seq else "(none)"))
-        elif sub == "recurrent":
-            lines.append("recurrent" if is_recurrent(cfg) else "not recurrent")
-        elif sub in ("minrec", "minrec-classical"):
-            runner = minrec_trace if sub == "minrec" else minrec_classical_trace
-            result, steps = runner(cfg)
-            lines.append(format_config(result))
-            if args.trace:
-                for k, st in enumerate(steps, start=1):
-                    lines.append(
-                        f"iteration {k}: duplicate at j={st.j}, "
-                        f"decrement c_{st.target}: {st.before} -> {st.after}")
-        else:  # cantop
-            lines.append(format_permutation(canonical_toppling(cfg)))
+    """Run a `sandpile` operation: `args.op(args)` gives its result line, then its trace lines."""
+    lines = args.op(args)
     return 0, _Output("\n".join(lines),
-                      {"command": f"sandpile {sub}", "result": lines[0], "trace": lines[1:]})
+                      {"command": f"sandpile {args.sub}", "result": lines[0], "trace": lines[1:]})
+
+
+def _stabilise(args) -> list[str]:
+    stable, seq = stabilise(parse_config(args.config))
+    lines = [format_config(stable)]
+    if args.trace:
+        lines.append("toppled: " + (",".join(map(str, seq)) if seq else "(none)"))
+    return lines
+
+
+def _reduction(runner, args) -> list[str]:
+    result, steps = runner(parse_config(args.config))
+    lines = [format_config(result)]
+    if args.trace:
+        for k, st in enumerate(steps, start=1):
+            lines.append(
+                f"iteration {k}: duplicate at j={st.j}, "
+                f"decrement c_{st.target}: {st.before} -> {st.after}")
+    return lines
 
 
 def cmd_verify(args) -> tuple[int, _Output]:
@@ -203,77 +171,105 @@ def cmd_verify(args) -> tuple[int, _Output]:
          "detail": r.detail, "counterexample": r.counterexample} for r in results])
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
+def _output_flags(*formats: str) -> argparse.ArgumentParser:
+    """The --format and --out flags of an operation that renders `formats`."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--out", metavar="PATH", help="write output to a file")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvpark",
         description="Parking processes, outcome fibres, and their correspondences.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
-    common.add_argument("--out", metavar="PATH", help="write output to a file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    scalar, tabular = _output_flags("pretty", "json"), _output_flags("pretty", "csv", "json")
 
-    p = sub.add_parser("outcome", parents=[common], help="run one parking process")
+    def operation(group, name, func, flags=scalar, help=None, **defaults):
+        p = group.add_parser(name, parents=[flags], help=help)
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    def operations(name, help, dest):
+        return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+    def prefs(p):
+        p.add_argument("-p", "--prefs", required=True, metavar="PREFS")
+
+    p = operation(commands, "outcome", cmd_outcome, help="run one parking process")
     p.add_argument("--model", choices=["classical", "mvp"], required=True)
-    p.add_argument("-p", "--prefs", required=True, metavar="PREFS")
+    prefs(p)
     p.add_argument("--trace", action="store_true", help="print each bump")
-    p.set_defaults(func=cmd_outcome)
 
-    p = sub.add_parser("fibre", parents=[common], help="enumerate an outcome fibre")
+    p = operation(commands, "fibre", cmd_fibre, tabular, help="enumerate an outcome fibre")
     p.add_argument("--perm", required=True, metavar="PERM")
     p.add_argument("--method", choices=["subgraph", "brute", "both"], default="subgraph")
     p.add_argument("--no-prune", action="store_true",
                    help="disable the P2-free pruning of the subgraph walk")
-    p.set_defaults(func=cmd_fibre)
 
-    p = sub.add_parser("table", parents=[common], help="reproduce an enumeration table")
-    p.add_argument("which", choices=["bounds", "bipartite", "dec-vs-split", "conjecture"])
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (at most one per CPU and cell)")
-    p.add_argument("--force", action="store_true", help="override the size guard")
-    p.set_defaults(func=cmd_table)
+    group = operations("table", "reproduce an enumeration table", "which")
+    for which, (least, guard) in TABLE_GUARDS.items():
+        p = operation(group, which, cmd_table, tabular)
+        if which == "bipartite":
+            p.add_argument("--max-m", type=_at_least(least), default=guard)
+        p.add_argument("--max-n", type=_at_least(least), default=guard)
+        p.add_argument("--jobs", type=_at_least(1), default=1,
+                       help="worker processes (at most one per CPU and cell)")
+        p.add_argument("--force", action="store_true", help="override the size guard")
 
-    p = sub.add_parser("motzkin", parents=[common],
-                       help="lattice-path and non-crossing matching operations")
-    p.add_argument("sub", choices=["phi", "inverse", "rep", "noncross"])
-    p.add_argument("-p", "--prefs", metavar="PREFS")
-    p.add_argument("--path", metavar="STEPS")
-    p.add_argument("-n", type=int, metavar="N")
+    group = operations("motzkin", "lattice-path and non-crossing matching operations", "sub")
+    prefs(operation(group, "phi", cmd_motzkin,
+                    op=lambda a: preference_path(parse_preference(a.prefs))))
+    p = operation(group, "inverse", cmd_motzkin,
+                  op=lambda a: format_preference(path_to_preference(a.path)))
+    p.add_argument("--path", required=True, metavar="STEPS")
+    prefs(operation(group, "rep", cmd_motzkin, op=lambda a: format_preference(
+        decreasing_representative(parse_preference(a.prefs)))))
+    p = operation(group, "noncross", cmd_noncross)
+    p.add_argument("-n", type=int, required=True, metavar="N")
     p.add_argument("--count", action="store_true", help="print the count only")
     p.add_argument("--force", action="store_true", help="override the noncross size guard")
-    p.set_defaults(func=cmd_motzkin)
 
-    p = sub.add_parser("sandpile", parents=[common], help="sandpile operations on K_n")
-    p.add_argument("sub", choices=["stabilise", "recurrent", "minrec",
-                                   "minrec-classical", "cantop", "mvp-outcome"])
-    p.add_argument("-c", "--config", metavar="CONFIG")
-    p.add_argument("-p", "--prefs", metavar="PREFS")
-    p.add_argument("--trace", action="store_true", help="print the toppling or reduction steps")
-    p.set_defaults(func=cmd_sandpile)
+    group = operations("sandpile", "sandpile operations on K_n", "sub")
+    for name, op in [
+        ("stabilise", _stabilise),
+        ("recurrent", lambda a: [
+            "recurrent" if is_recurrent(parse_config(a.config)) else "not recurrent"]),
+        ("minrec", lambda a: _reduction(minrec_trace, a)),
+        ("minrec-classical", lambda a: _reduction(minrec_classical_trace, a)),
+        ("cantop", lambda a: [format_permutation(canonical_toppling(parse_config(a.config)))]),
+    ]:
+        p = operation(group, name, cmd_sandpile, op=op)
+        p.add_argument("-c", "--config", required=True, metavar="CONFIG")
+        if name in ("stabilise", "minrec", "minrec-classical"):
+            p.add_argument("--trace", action="store_true",
+                           help="print the toppling or reduction steps")
+    prefs(operation(group, "mvp-outcome", cmd_sandpile, op=lambda a: [
+        format_permutation(mvp_outcome_via_sandpile(parse_preference(a.prefs)))]))
 
-    p = sub.add_parser("verify", parents=[common], help="run exhaustive property suites")
+    p = operation(commands, "verify", cmd_verify, help="run exhaustive property suites")
     p.add_argument("--suite", choices=["all"] + verify.SUITE_NAMES, default="all")
     p.add_argument("--n", type=int, default=None, help="override the n cap")
     p.add_argument("--m", type=int, default=None, help="override the m cap")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomised abelian checks only")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.format == "csv" and args.command not in ("fibre", "table"):
-            raise ValueError("csv format is only available for table-shaped output")
         status, out = args.func(args)
         if args.format == "csv" or out.text is None:
             render = {"pretty": tables.render_pretty, "csv": tables.render_csv,

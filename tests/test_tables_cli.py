@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +81,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """stdout and stderr of a command that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 def test_cli_outcome(capsys):
     code, out, _ = run_cli(capsys, "outcome", "--model", "mvp", "-p", "3,1,1,2")
     assert code == 0 and out.strip() == "3412"
@@ -125,6 +137,11 @@ def test_cli_fibre(capsys):
     assert code == 0 and json.loads(out) == {
         "permutation": "312", "fibre": ["1,1,1", "1,3,1", "2,1,1", "2,3,1"], "size": 4,
         "methods_agree": True}
+
+
+def test_cli_fibre_brute_refuses_no_prune(capsys):
+    code, out, err = run_cli(capsys, "fibre", "--perm", "312", "--method", "brute", "--no-prune")
+    assert code == 2 and not out and err == "error: fibre --method brute does not read --no-prune\n"
 
 
 def test_cli_fibre_csv_round_trip(capsys):
@@ -207,8 +224,8 @@ def test_cli_noncross_guard(capsys, monkeypatch):
 def test_cli_motzkin_errors(capsys):
     code, _, err = run_cli(capsys, "motzkin", "inverse", "--path", "DU")
     assert code == 2 and "Motzkin" in err
-    code, _, err = run_cli(capsys, "motzkin", "phi")
-    assert code == 2
+    _, err = usage_error(capsys, "motzkin", "phi")
+    assert "required" in err
 
 
 def test_cli_sandpile(capsys):
@@ -252,9 +269,11 @@ def test_cli_sandpile_trace(capsys):
     (["sandpile", "mvp-outcome", "-p", "3,1,1,2", "-c", "0,0"], "--config"),
 ])
 def test_cli_option_the_subcommand_does_not_read_exits_2(capsys, argv, flag):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and not out
-    assert err == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
+    out, err = usage_error(capsys, *argv)
+    assert not out and "unrecognized arguments" in err
+    with pytest.raises(SystemExit):
+        cli.main([*argv[:2], "--help"])
+    assert flag not in re.findall(r"-[-\w]+", capsys.readouterr().out)
 
 
 def test_cli_sandpile_contract_errors(capsys):
@@ -325,9 +344,8 @@ def test_cli_out_file(tmp_path, capsys):
 
 
 def test_cli_csv_rejected_for_scalars(capsys):
-    code, _, err = run_cli(capsys, "outcome", "--model", "mvp", "-p", "1,1",
-                           "--format", "csv")
-    assert code == 2 and "csv" in err
+    _, err = usage_error(capsys, "outcome", "--model", "mvp", "-p", "1,1", "--format", "csv")
+    assert "csv" in err
 
 
 def test_cli_bad_arguments_exit_2(capsys):
@@ -348,12 +366,13 @@ def test_cli_bad_arguments_exit_2(capsys):
     ["sandpile", "recurrent", "-c", "0", "--force"],
     ["verify", "--suite", "thm-4.1", "--m", "1", "--jobs", "2"],
     ["verify", "--suite", "thm-4.1", "--m", "1", "--trace"],
+    ["table", "bounds", "--max-n", "3", "--max-m", "99"],
+    ["table", "dec-vs-split", "--max-n", "3", "--max-m", "99"],
+    ["table", "conjecture", "--max-n", "3", "--max-m", "99"],
 ])
 def test_cli_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    out, err = usage_error(capsys, *argv)
+    assert not out and "unrecognized arguments" in err
 
 
 class _SerialPool:
@@ -409,8 +428,8 @@ def test_cli_jobs_below_one_exit_2(capsys, jobs):
     ["conjecture", "--max-n", "2"],
 ])
 def test_cli_table_rejects_sizes_without_cells(capsys, argv):
-    code, out, err = run_cli(capsys, "table", *argv)
-    assert code == 2 and not out and "at least" in err
+    out, err = usage_error(capsys, "table", *argv)
+    assert not out and "at least" in err
 
 
 def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
@@ -445,3 +464,21 @@ def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
     assert code == 1 and json.loads(out) == [{
         "suite": "prop-2.9", "passed": False, "checked": 1,
         "detail": "displacement equals total arc length", "counterexample": "p=1"}]
+
+
+def test_readme_cli_examples(capsys):
+    """Every `mvpark` line of README's CLI block parses; each `# -> X` line prints exactly X."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    parser = cli.build_parser()
+    commands = [line for line in block.splitlines() if line.startswith("mvpark ")]
+    ran = 0
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)
+        _, arrow, expected = line.partition("# -> ")
+        if arrow:
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, expected.strip() + "\n"), line
+            ran += 1
+    assert commands and ran
