@@ -41,7 +41,7 @@ from .sandpile import (
 from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
 # Per table: the least size that gives it cells, and the default and largest size without --force.
-TABLE_GUARDS = {"bounds": (1, 9), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
+TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 11), "conjecture": (3, 7)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
 
@@ -74,15 +74,10 @@ def cmd_outcome(args) -> tuple[int, _Output]:
 
 
 def cmd_fibre(args) -> tuple[int, _Output]:
-    if args.method == "brute" and args.no_prune:
-        raise ValueError("fibre --method brute does not read --no-prune")
     word = parse_permutation(args.perm)
     # Brute force first: it refuses n above its cap before any walk starts.
     brute = fibre_brute(word) if args.method != "subgraph" else None
-    if args.method == "brute":
-        fibre = brute
-    else:
-        fibre = fibre_via_subgraphs(word, prune_p2=not args.no_prune)
+    fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
     status = 1 if args.method == "both" and fibre != brute else 0
     perm = format_permutation(word)
     prefs = [format_preference(p) for p in fibre]
@@ -163,6 +158,10 @@ def _reduction(runner, args) -> list[str]:
 
 
 def cmd_verify(args) -> tuple[int, _Output]:
+    if args.suite != "all":
+        for flag in ("n", "m"):
+            if getattr(args, flag) is not None and flag not in verify._SUITES[args.suite][1]:
+                raise ValueError(f"verify --suite {args.suite} does not read --{flag}")
     names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, n=args.n, m=args.m, seed=args.seed)
     status = 0 if all(r.passed for r in results) else 1
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = operation(commands, "fibre", cmd_fibre, tabular, help="enumerate an outcome fibre")
     p.add_argument("--perm", required=True, metavar="PERM")
     p.add_argument("--method", choices=["subgraph", "brute", "both"], default="subgraph")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable the P2-free pruning of the subgraph walk")
 
     group = operations("table", "reproduce an enumeration table", "which")
     for which, (least, guard) in TABLE_GUARDS.items():
@@ -260,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = operation(commands, "verify", cmd_verify, help="run exhaustive property suites")
     p.add_argument("--suite", choices=["all"] + verify.SUITE_NAMES, default="all")
-    p.add_argument("--n", type=int, default=None, help="override the n cap")
-    p.add_argument("--m", type=int, default=None, help="override the m cap")
+    p.add_argument("--n", type=int, default=None, help="override the n cap (suites that read one)")
+    p.add_argument("--m", type=int, default=None, help="override the m cap (suites that read one)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomised abelian checks only")
+                   help="seed for the randomised abelian checks; read by no other suite")
     return parser
 
 

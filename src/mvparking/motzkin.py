@@ -34,12 +34,21 @@ __all__ = [
     "is_motzkin_pf",
     "is_motzkin_path",
     "is_noncrossing_matching",
+    "motzkin_numbers",
     "noncross_to_motzkin",
     "noncrossing_matchings",
     "path_to_preference",
     "preference_path",
     "prime_decomposition",
 ]
+
+
+def motzkin_numbers(upto: int) -> list[int]:
+    """M_0..M_upto (A001006): M_0 = M_1 = 1, M_n = M_{n-1} + sum_k M_k M_{n-2-k}."""
+    m = [1, 1]
+    for n in range(2, upto + 1):
+        m.append(m[n - 1] + sum(m[k] * m[n - 2 - k] for k in range(n - 1)))
+    return m
 
 
 class NotAMotzkinPath(ValueError):

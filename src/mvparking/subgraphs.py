@@ -11,15 +11,17 @@ ones whose induced preference parks back to pi.
 Two cheap structural filters bracket validity: a valid subgraph can contain
 no directed two-arc path i -> j -> k (P2-free, necessary), and any subgraph
 whose arcs are pairwise horizontally disjoint, endpoints included, is valid
-(HS, sufficient).  The P2-free filter is what makes exhaustive fibre
-enumeration feasible: for the decreasing permutation it cuts the candidate
-count from n! to the n-th Bell number.  Fibre sizes alone are counted
-without walking subgraphs, by `fibre_size`; the walks stay as its oracles.
+(HS, sufficient).  Dynamic programs over the vertices count both families.
+
+Fibres are listed by a walk over the cars in arrival order that parks them
+as it goes and cuts every branch that can no longer end at pi, so each
+branch it completes is a fibre member.  `fibre_size` counts under the same
+rules without listing, and `fibre_brute` is the independent n^n scan.
 """
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -104,19 +106,15 @@ def count_one_subgraphs(pi: Iterable[int]) -> int:
     return prod(1 + len(s) for s in left_inversion_lists(word)[1:])
 
 
-def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
-    """Subgraph induced by a parking function on its own MVP outcome.
+def _induced_arcs(prefs, word) -> frozenset[tuple[int, int]]:
+    """Arc (j, i) whenever the car parked in spot i of `word` preferred j < i."""
+    return frozenset((prefs[car - 1], i) for i, car in enumerate(word, start=1) if prefs[car - 1] != i)
 
-    Arc (j, i) whenever the car parked in spot i originally preferred j < i.
-    """
+
+def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """Subgraph induced by a parking function on its own MVP outcome."""
     prefs = check_preference(p)
-    word = outcome_mvp(prefs).outcome
-    arcs = set()
-    for i, car in enumerate(word, start=1):
-        j = prefs[car - 1]
-        if j != i:
-            arcs.add((j, i))
-    return frozenset(arcs)
+    return _induced_arcs(prefs, outcome_mvp(prefs).outcome)
 
 
 def subgraph_to_pf(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> tuple[int, ...]:
@@ -164,71 +162,72 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _walk(word, prune_p2, leaf):
-    """DFS over the 1-subgraph choice tree of `word`, calling
-    leaf(prefs, chosen, hs) at every leaf, in enumerate_one_subgraphs order.
+def _car_setup(word):
+    """The padded target occupancy (bytes, spot -> car, so n <= 255), the
+    final spot F(c) of each car, and the spots car c may prefer: F(c), or an
+    inversion source p < F(c), whose final car arrives after c."""
+    n = len(word)
+    target = bytes([0, *word])
+    final = [0] * (n + 1)
+    for spot, car in enumerate(word, start=1):
+        final[car] = spot
+    choices = [[p for p in range(1, final[car] + 1) if target[p] >= car] for car in range(n + 1)]
+    return target, final, choices
 
-    `prefs` (the induced preference) and `chosen` (the arcs) are reused
-    buffers; leaf must copy what it keeps.  Targets ascend, so a new arc
-    (j, i) keeps the subgraph horizontally separated iff j > `last`, the
-    last target; `last` is n + 1 once it is not HS.  With prune_p2, branches
-    creating a directed two-arc path are skipped, which is sound because no
-    such subgraph is valid, or HS.
+
+def _fibre_walk(word):
+    """Every preference whose MVP outcome is `word`, by a DFS in car order.
+
+    Car c prefers F(c) (no arc) or an inversion source p of F(c) (arc
+    (p, F(c))), and the occupancy moves forward by that one car.  Occupied
+    spots never empty and cars only move right, so a branch is cut when
+    F(c) is held and c prefers another spot, or when a bumped car lands
+    right of its final spot or on a spot whose final car has arrived.  A
+    full branch has n cars, each at or left of its final spot, filling n
+    spots: each is at its final spot, so every leaf is a fibre member.
     """
     n = len(word)
-    linv = left_inversion_lists(word)
+    target, final, choices = _car_setup(word)
+    spots = bytearray(n + 1)
     prefs = [0] * n
-    chosen: list[tuple[int, int]] = []
-    has_left = [False] * (n + 1)
-
-    def walk(i: int, last: int) -> None:
-        if i > n:
-            leaf(prefs, chosen, last <= n)
-            return
-        car = word[i - 1]
-        prefs[car - 1] = i
-        walk(i + 1, last)
-        for j in linv[i]:
-            if prune_p2 and has_left[j]:
-                continue
-            prefs[car - 1] = j
-            chosen.append((j, i))
-            has_left[i] = True
-            walk(i + 1, i if j > last else n + 1)
-            chosen.pop()
-        has_left[i] = False
-
-    walk(1, 0)
-
-
-def _valid_leaves(word, prune_p2, keep):
-    """keep(prefs, chosen) of every leaf whose induced preference parks
-    back to `word`, in walk order."""
-    n = len(word)
-    target = [0, *word]
     found = []
 
-    def leaf(prefs, chosen, _hs):
-        if _mvp(prefs, n) == target:
-            found.append(keep(prefs, chosen))
+    def place(car: int) -> None:
+        home = final[car]
+        for p in (home,) if spots[home] else choices[car]:
+            bumped = spots[p]
+            if bumped:
+                t = spots.find(0, p + 1)
+                if not (0 < t <= final[bumped] and (t == final[bumped] or target[t] > car)):
+                    continue
+                spots[t] = bumped
+            spots[p] = car
+            prefs[car - 1] = p
+            if car < n:
+                place(car + 1)
+            else:
+                found.append(tuple(prefs))
+            spots[p] = bumped
+            if bumped:
+                spots[t] = 0
 
-    _walk(word, prune_p2, leaf)
+    place(1)
     return found
 
 
-def fibre_via_subgraphs(pi: Iterable[int], prune_p2: bool = True) -> list[tuple[int, ...]]:
-    """The MVP outcome fibre of pi, enumerated through valid 1-subgraphs.
+def fibre_via_subgraphs(pi: Iterable[int]) -> list[tuple[int, ...]]:
+    """The MVP outcome fibre of pi, listed through its valid 1-subgraphs.
 
-    Returned lexicographically sorted.
+    Lexicographically sorted: the walk varies car 1 slowest and offers each
+    car its spots in ascending order.
     """
-    word = check_permutation(pi)
-    return sorted(_valid_leaves(word, prune_p2, lambda prefs, _arcs: tuple(prefs)))
+    return _fibre_walk(check_permutation(pi))
 
 
-def valid_subgraphs(pi: Iterable[int], prune_p2: bool = True) -> list[frozenset[tuple[int, int]]]:
-    """All valid 1-subgraphs of the inversion graph of pi."""
+def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
+    """All valid 1-subgraphs of the inversion graph of pi: those its fibre induces."""
     word = check_permutation(pi)
-    return _valid_leaves(word, prune_p2, lambda _prefs, arcs: frozenset(arcs))
+    return [_induced_arcs(prefs, word) for prefs in _fibre_walk(word)]
 
 
 def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
@@ -251,32 +250,23 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
 def fibre_size(pi: Iterable[int]) -> int:
     """Size of the MVP outcome fibre of pi, counted without listing it.
 
-    A dynamic program over the cars in arrival order.  Level c maps each
-    occupancy reachable after cars 1..c have parked (padded bytes, spot ->
-    car, 0 for empty, as `_mvp` pads) to the number of preference prefixes
-    reaching it.  Occupied spots never empty and cars only move right, so a
-    branch dies as soon as a car sits right of its final spot, or a spot
-    whose final occupant has arrived holds another car.  Hence car c only
-    prefers a spot p <= F(c) whose final occupant is c or later, and only
-    F(c) itself when another car holds it.  Only two levels are alive; the
-    old one is consumed as the new one grows.  Cars are stored as bytes, so
-    n is at most 255.
+    A dynamic program over the cars in arrival order, cut by the same rules
+    as the listing walk (see `_fibre_walk`).  Level c maps each occupancy
+    reachable after cars 1..c have parked (padded bytes, spot -> car, 0 for
+    empty) to the number of preference prefixes reaching it.  Only two
+    levels are alive; the old one is consumed as the new one grows.
     """
     word = check_permutation(pi)
     n = len(word)
-    target = bytes([0, *word])
-    final = [0] * (n + 1)
-    for spot, car in enumerate(word, start=1):
-        final[car] = spot
+    target, final, choices = _car_setup(word)
     level = {bytes(n + 1): 1}
     for car in range(1, n + 1):
         home = final[car]
-        choices = [p for p in range(1, home + 1) if target[p] >= car]
         nxt: dict[bytes, int] = {}
         while level:
             state, ways = level.popitem()
             spots = bytearray(state)
-            for p in (home,) if spots[home] else choices:
+            for p in (home,) if spots[home] else choices[car]:
                 bumped = spots[p]
                 spots[p] = car
                 if bumped:
@@ -295,21 +285,42 @@ def fibre_size(pi: Iterable[int]) -> int:
 
 
 def p2_free_count(pi: Iterable[int]) -> int:
-    """Number of P2-free 1-subgraphs (no simulation, pruned walk)."""
-    leaves = count()
-    _walk(check_permutation(pi), True, lambda _prefs, _arcs, _hs: next(leaves))
-    return next(leaves)
+    """Number of P2-free 1-subgraphs, by a dynamic program over the vertices.
+
+    Left to right, each state is the bitmask of earlier vertices that are no
+    arc's target, with the number of ways to reach it.  Vertex i either
+    joins the mask, or becomes the target of one of the free sources in
+    linv[i] and, being a target, can never be a source.  No two states merge,
+    so a level holds at most 2^(i-1) of them, as many as on dec(n).
+    """
+    word = check_permutation(pi)
+    linv = left_inversion_lists(word)
+    level = {0: 1}
+    for i in range(1, len(word) + 1):
+        sources = sum(1 << j for j in linv[i])
+        nxt: dict[int, int] = {}
+        for mask, ways in level.items():
+            nxt[mask | 1 << i] = ways
+            free = (mask & sources).bit_count()
+            if free:
+                nxt[mask] = ways * free
+        level = nxt
+    return sum(level.values())
 
 
 def hs_count(pi: Iterable[int]) -> int:
-    """Number of horizontally separated 1-subgraphs (no simulation).
+    """Number of horizontally separated 1-subgraphs, by an interval DP.
 
-    HS arcs share no endpoint, so every HS subgraph is P2-free and the
-    pruned walk reaches all of them.
+    f[i] counts the HS subgraphs on vertices 1..i: vertex i is no target,
+    or the target of one arc (j, i) whose span [j, i] no other arc touches,
+    so f[i] = f[i-1] + sum over j in linv[i] of f[j-1].
     """
-    leaves = count()
-    _walk(check_permutation(pi), True, lambda _prefs, _arcs, hs: hs and next(leaves))
-    return next(leaves)
+    word = check_permutation(pi)
+    linv = left_inversion_lists(word)
+    f = [1]
+    for i in range(1, len(word) + 1):
+        f.append(f[i - 1] + sum(f[j - 1] for j in linv[i]))
+    return f[-1]
 
 
 class FibreBounds(NamedTuple):
@@ -323,24 +334,16 @@ class FibreBounds(NamedTuple):
 def bounds(pi: Iterable[int]) -> FibreBounds:
     """The sandwich single_arc <= HS <= fibre <= P2-free <= product for pi.
 
-    One P2-pruned walk counts the P2-free and the HS leaves (every HS
-    subgraph is P2-free); fibre_size counts the fibre.
+    Every term is counted without walking subgraphs: the P2-free and HS
+    dynamic programs, `fibre_size`, and closed forms.
     """
     word = check_permutation(pi)
-    p2free = hs_leaves = 0
-
-    def leaf(_prefs, _chosen, hs):
-        nonlocal p2free, hs_leaves
-        p2free += 1
-        hs_leaves += hs
-
-    _walk(word, True, leaf)
     n_inv = sum(len(s) for s in left_inversion_lists(word)[1:])
     return FibreBounds(
         product_upper=count_one_subgraphs(word),
-        p2free_count=p2free,
+        p2free_count=p2_free_count(word),
         fibre_size=fibre_size(word),
-        hs_count=hs_leaves,
+        hs_count=hs_count(word),
         single_arc_lower=1 + n_inv,
     )
 

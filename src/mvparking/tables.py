@@ -1,10 +1,11 @@
 """Report tables for the desk-scale enumerations, with CSV/JSON rendering.
 
 Every cell is an exact count: fibre sizes come from the car-order dynamic
-program `fibre_size`, the P2-free and HS counts from the P2-pruned subgraph
-walk; nothing is read from a stored table.  Builders accept a `jobs`
-argument to fan independent cells out over worker processes; results are
-merged in canonical order so output is identical regardless of job count.
+program `fibre_size`, the P2-free and HS counts from their dynamic programs
+over the vertices; no cell walks subgraphs or reads a stored table.
+Builders accept a `jobs` argument to fan independent cells out over worker
+processes; results are merged in canonical order so output is identical
+regardless of job count.
 A table lists each identity check it failed in `failures`, which no
 renderer writes.
 """
@@ -19,8 +20,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
-from math import factorial
+from math import comb, factorial
 
+from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
 from .subgraphs import bounds, fibre_size
 
@@ -76,6 +78,22 @@ def _bounds_row(n: int) -> list[Cell]:
     return [n, b.product_upper, b.p2free_count, b.fibre_size, b.hs_count]
 
 
+def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
+    """Check each row against the known counts on dec(n): valid = Motzkin,
+    P2-free = Bell, HS = 2^(n-1), and the sandwich between them."""
+    motzkin, bell = motzkin_numbers(len(rows)), [1]
+    for k in range(len(rows)):  # B_{k+1} = sum_j C(k, j) B_j
+        bell.append(sum(comb(k, j) * bell[j] for j in range(k + 1)))
+    failures = []
+    for n, subgraphs, p2free, valid, hs in rows:
+        if (valid, p2free, hs) != (motzkin[n], bell[n], 2 ** (n - 1)) or not (
+                subgraphs >= p2free >= valid >= hs):
+            failures.append(f"FAIL bounds n={n}: valid, p2free, hs = {valid}, {p2free}, {hs}, want "
+                            f"Motzkin, Bell, 2^(n-1) = {motzkin[n]}, {bell[n]}, {2 ** (n - 1)} "
+                            "and subgraphs >= p2free >= valid >= hs")
+    return failures
+
+
 def bounds_table(max_n: int, jobs: int = 1) -> ReportTable:
     """Subgraph/P2-free/valid/HS counts for the decreasing permutation."""
     t0 = time.perf_counter()
@@ -84,7 +102,8 @@ def bounds_table(max_n: int, jobs: int = 1) -> ReportTable:
         name="bounds",
         headers=["n", "subgraphs", "p2free", "valid", "hs"],
         rows=rows,
-        metadata={"max_n": max_n, "prune_p2": True, "wall_time_s": round(time.perf_counter() - t0, 3)},
+        metadata={"max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
+        failures=_bounds_failures(rows),
     )
 
 

@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .motzkin import (
     dec_to_split_subgraph,
+    motzkin_numbers,
     noncrossing_matchings,
     preference_path,
     is_motzkin_path,
@@ -86,14 +87,6 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
             yield p
 
 
-def _motzkin_numbers(upto: int) -> list[int]:
-    # M_0 = M_1 = 1, M_n = M_{n-1} + sum_k M_k M_{n-2-k}
-    m = [1, 1]
-    for n in range(2, upto + 1):
-        m.append(m[n - 1] + sum(m[k] * m[n - 2 - k] for k in range(n - 1)))
-    return m
-
-
 def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
@@ -156,7 +149,7 @@ def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
-            valid = set(valid_subgraphs(word, prune_p2=False))
+            valid = set(valid_subgraphs(word))
             for sub in enumerate_one_subgraphs(word):
                 checked += 1
                 if premise_holds(sub, valid) and not conclusion_holds(sub, valid):
@@ -195,7 +188,7 @@ def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    motzkin = _motzkin_numbers(n_cap)
+    motzkin = motzkin_numbers(n_cap)
     for n in range(1, n_cap + 1):
         noncross = set(noncrossing_matchings(n))
         valid = set(valid_subgraphs(dec(n)))

@@ -65,3 +65,63 @@ def brute_noncrossing(n: int) -> set[frozenset[tuple[int, int]]]:
 
 def all_preferences(n: int):
     return product(range(1, n + 1), repeat=n)
+
+
+def mvp_outcome(prefs) -> tuple[int, ...] | None:
+    """Car per spot under the MVP rule, or None when a bumped car exits."""
+    n = len(prefs)
+    spots = [0] * (n + 1)
+    for car, s in enumerate(prefs, start=1):
+        bumped, spots[s] = spots[s], car
+        if bumped:
+            t = s + 1
+            while t <= n and spots[t]:
+                t += 1
+            if t > n:
+                return None
+            spots[t] = bumped
+    return tuple(spots[1:])
+
+
+def spot_order_walk(word) -> tuple[list, set, int, int]:
+    """(sorted fibre, set of valid subgraphs, #P2-free, #HS subgraphs) of
+    `word`, by a DFS over the P2-free 1-subgraphs that picks vertex i's
+    left-arc for i = 1..n and simulates each leaf.
+
+    The spot-order oracle for the car-order fibre walk and for the P2-free
+    and HS counts: a branch is cut only when an arc would start at a vertex
+    that is already a target.  Targets ascend, so a new arc (j, i) keeps the
+    subgraph HS iff j is right of the last target, `last`; `last` is n + 1
+    once the subgraph is not HS.
+    """
+    word = tuple(word)
+    n = len(word)
+    linv = [[j for j in range(1, i) if word[j - 1] > word[i - 1]] for i in range(n + 1)]
+    prefs = [0] * n
+    chosen: list[tuple[int, int]] = []
+    is_target = [False] * (n + 1)
+    fibre, valid, counts = [], set(), [0, 0]
+
+    def walk(i: int, last: int) -> None:
+        if i > n:
+            counts[0] += 1
+            counts[1] += last <= n
+            if mvp_outcome(prefs) == word:
+                fibre.append(tuple(prefs))
+                valid.add(frozenset(chosen))
+            return
+        car = word[i - 1]
+        prefs[car - 1] = i
+        walk(i + 1, last)
+        for j in linv[i]:
+            if is_target[j]:
+                continue
+            prefs[car - 1] = j
+            chosen.append((j, i))
+            is_target[i] = True
+            walk(i + 1, i if j > last else n + 1)
+            chosen.pop()
+        is_target[i] = False
+
+    walk(1, 0)
+    return sorted(fibre), valid, counts[0], counts[1]

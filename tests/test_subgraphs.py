@@ -30,7 +30,7 @@ from mvparking.subgraphs import (
     valid_subgraphs,
 )
 
-from helpers import all_preferences
+from helpers import all_preferences, spot_order_walk
 
 
 def test_enumeration_counts():
@@ -129,12 +129,25 @@ def test_fibre_brute_cap():
     assert len(fibre_brute(dec(4), cap=4)) == 9
 
 
-def test_pruning_does_not_change_fibres():
-    for word in permutations(range(1, 5)):
-        assert fibre_via_subgraphs(word, prune_p2=True) == fibre_via_subgraphs(word, prune_p2=False)
-    for word in (dec(5), split_right(2, 3)):
-        assert fibre_via_subgraphs(word, prune_p2=True) == fibre_via_subgraphs(word, prune_p2=False)
-        assert sorted(valid_subgraphs(word, True)) == sorted(valid_subgraphs(word, False))
+def _check_against_spot_order_oracle(word, with_subgraphs=True):
+    fibre, valid, p2_free, hs = spot_order_walk(word)
+    assert fibre_via_subgraphs(word) == fibre
+    if with_subgraphs:
+        listed = valid_subgraphs(word)
+        assert len(set(listed)) == len(listed) and set(listed) == valid
+    assert (p2_free_count(word), hs_count(word)) == (p2_free, hs)
+
+
+def test_car_order_walk_and_dps_match_the_spot_order_oracle():
+    for n in range(1, 8):
+        for word in permutations(range(1, n + 1)):
+            _check_against_spot_order_oracle(word, with_subgraphs=n <= 6)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_car_order_walk_and_dps_match_the_spot_order_oracle_on_random_permutations(word):
+    _check_against_spot_order_oracle(tuple(word))
 
 
 def test_fibre_size_matches_the_subgraph_walk_and_partitions_the_parking_functions():
@@ -159,6 +172,14 @@ def test_fibre_size_pinned_paper_cells():
     assert fibre_size(split_right(2, 9)) == 6385
 
 
+def test_pinned_walk_counters():
+    # P2-free subgraphs and fibre sizes: the leaves and hits of the spot-order walk
+    assert p2_free_count(bipart(7, 7)) == 2_097_152
+    assert (p2_free_count(dec(11)), len(fibre_via_subgraphs(dec(11)))) == (678_570, 5_798)
+    assert (p2_free_count(split_right(2, 9)),
+            len(fibre_via_subgraphs(split_right(2, 9)))) == (562_595, 6_385)
+
+
 @settings(deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
 def test_fibre_size_matches_the_walk_on_random_permutations(word):
@@ -169,11 +190,12 @@ def test_bounds_match_walk_and_simulate_reference():
     for n in range(1, 7):
         for word in permutations(range(1, n + 1)):
             n_inv = sum(word[a] > word[b] for a in range(n) for b in range(a + 1, n))
+            fibre, _, p2_free, hs = spot_order_walk(word)
             assert bounds(word) == FibreBounds(
                 product_upper=count_one_subgraphs(word),
-                p2free_count=p2_free_count(word),
-                fibre_size=len(fibre_via_subgraphs(word)),
-                hs_count=hs_count(word),
+                p2free_count=p2_free,
+                fibre_size=len(fibre),
+                hs_count=hs,
                 single_arc_lower=1 + n_inv,
             ), word
 
@@ -218,10 +240,11 @@ def test_fibre_matches_bucketed_brute_exhaustive():
 def test_dec_counts_match_bell_and_powers_of_two():
     from helpers import bell_numbers
 
-    bells = bell_numbers(9)
-    for n in range(1, 10):
+    bells = bell_numbers(20)
+    for n in [*range(1, 10), 20]:
         assert p2_free_count(dec(n)) == bells[n]
         assert hs_count(dec(n)) == 2 ** (n - 1)
+    assert bells[20] == 51_724_158_235_372
 
 
 def test_displacement_equals_arc_length_spot():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mvparking import cli, tables, verify
+from mvparking import cli, subgraphs, tables, verify
 
 
 def test_report_table_arity_checked():
@@ -139,9 +139,9 @@ def test_cli_fibre(capsys):
         "methods_agree": True}
 
 
-def test_cli_fibre_brute_refuses_no_prune(capsys):
-    code, out, err = run_cli(capsys, "fibre", "--perm", "312", "--method", "brute", "--no-prune")
-    assert code == 2 and not out and err == "error: fibre --method brute does not read --no-prune\n"
+def test_cli_fibre_no_prune_exits_2(capsys):
+    out, err = usage_error(capsys, "fibre", "--perm", "312", "--no-prune")
+    assert not out and "unrecognized arguments: --no-prune" in err
 
 
 def test_cli_fibre_csv_round_trip(capsys):
@@ -302,7 +302,7 @@ def test_cli_table_csv_golden(capsys):
 
 
 def test_cli_table_guards(capsys):
-    code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "10")
+    code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "14")
     assert code == 2 and "guard" in err
     code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "12")
     assert code == 2 and "guard" in err
@@ -311,11 +311,11 @@ def test_cli_table_guards(capsys):
 
 
 def test_cli_table_force_overrides_guard(capsys):
-    code, out, _ = run_cli(capsys, "table", "bounds", "--max-n", "10",
-                           "--force", "--format", "csv")
-    assert code == 0
+    code, out, err = run_cli(capsys, "table", "bounds", "--max-n", "14",
+                             "--force", "--format", "csv")
+    assert code == 0 and not err
     _, rows = tables.parse_csv(out)
-    assert rows[-1] == [10, 3628800, 115975, 2188, 512]
+    assert rows[-1] == [14, 87178291200, 190899322, 113634, 8192]
 
 
 def test_cli_verify(capsys):
@@ -326,6 +326,22 @@ def test_cli_verify(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["passed"] is True
+
+
+@pytest.mark.parametrize("suite, flag", [
+    ("thm-3.8", "--m"), ("thm-4.1", "--n"), ("abelian", "--m"), ("prop-2.9", "--m"),
+])
+def test_cli_verify_refuses_the_cap_a_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "3")
+    assert code == 2 and not out
+    assert err == f"error: verify --suite {suite} does not read {flag}\n"
+
+
+def test_cli_verify_all_takes_both_caps_and_every_suite_takes_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "3", "--m", "1")
+    assert code == 0 and out.count("PASS") == len(verify.SUITE_NAMES)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "thm-4.1", "--seed", "7")
+    assert code == 0 and "thm-4.1: PASS" in out
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -482,3 +498,13 @@ def test_readme_cli_examples(capsys):
             assert (code, out) == (0, expected.strip() + "\n"), line
             ran += 1
     assert commands and ran
+
+
+def test_cli_bounds_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
+    code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "3")
+    assert code == 0 and not err
+    monkeypatch.setattr(subgraphs, "hs_count", lambda word: 0)
+    code, out, err = run_cli(capsys, "table", "bounds", "--max-n", "3", "--format", "csv")
+    assert code == 1 and out == "n,subgraphs,p2free,valid,hs\n1,1,1,1,0\n2,2,2,2,0\n3,6,5,4,0\n"
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "FAIL bounds n=1", "FAIL bounds n=2", "FAIL bounds n=3"]
