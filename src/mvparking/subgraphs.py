@@ -16,7 +16,8 @@ whose arcs are pairwise horizontally disjoint, endpoints included, is valid
 Fibres are listed by a walk over the cars in arrival order that parks them
 as it goes and cuts every branch that can no longer end at pi, so each
 branch it completes is a fibre member.  `fibre_size` counts under the same
-rules without listing, and `fibre_brute` is the independent n^n scan.
+rules without listing, `outcome_distribution` counts every fibre of S_n in
+one pass without a target, and `fibre_brute` is the independent n^n scan.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .perms import check_permutation, left_inversion_lists
 
 __all__ = [
     "BRUTE_FORCE_CAP",
+    "DISTRIBUTION_CAP",
     "FibreBounds",
     "NotASubgraph",
     "SizeCapExceeded",
@@ -45,6 +47,7 @@ __all__ = [
     "is_hs",
     "is_p2_free",
     "is_valid",
+    "outcome_distribution",
     "p2_free_count",
     "parse_arcs",
     "pf_to_subgraph",
@@ -53,6 +56,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 7
+DISTRIBUTION_CAP = 9
 
 
 class NotASubgraph(ValueError):
@@ -60,7 +64,7 @@ class NotASubgraph(ValueError):
 
 
 class SizeCapExceeded(ValueError):
-    """Brute-force enumeration refused: n is above the configured cap."""
+    """Enumeration refused: n is above the configured cap."""
 
 
 def _check_arc_pairs(arcs) -> frozenset[tuple[int, int]]:
@@ -247,41 +251,72 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
     ]
 
 
-def fibre_size(pi: Iterable[int]) -> int:
-    """Size of the MVP outcome fibre of pi, counted without listing it.
+def _occupancy_levels(n: int, home, final, target, choices) -> dict[bytes, int]:
+    """The car-order dynamic program behind `fibre_size` and
+    `outcome_distribution`, returning its last level.
 
-    A dynamic program over the cars in arrival order, cut by the same rules
-    as the listing walk (see `_fibre_walk`).  Level c maps each occupancy
-    reachable after cars 1..c have parked (padded bytes, spot -> car, 0 for
-    empty) to the number of preference prefixes reaching it.  Only two
-    levels are alive; the old one is consumed as the new one grows.
+    Level c maps each occupancy reachable after cars 1..c have parked
+    (padded bytes, spot -> car, 0 for empty) to the number of preference
+    prefixes reaching it.  Car c prefers home[c] if that spot is held, and
+    otherwise one of choices[c].  A car b it bumps moves to the first free
+    spot t to the right, and the branch dies unless t <= final[b] and
+    either t == final[b] or target[t] > c.  Only two levels are alive; the
+    old one is consumed as the new one grows.
     """
-    word = check_permutation(pi)
-    n = len(word)
-    target, final, choices = _car_setup(word)
     level = {bytes(n + 1): 1}
     for car in range(1, n + 1):
-        home = final[car]
+        held = home[car]
         nxt: dict[bytes, int] = {}
         while level:
             state, ways = level.popitem()
             spots = bytearray(state)
-            for p in (home,) if spots[home] else choices[car]:
+            for p in (held,) if spots[held] else choices[car]:
                 bumped = spots[p]
-                spots[p] = car
                 if bumped:
                     t = spots.find(0, p + 1)
-                    if 0 < t <= final[bumped] and (t == final[bumped] or target[t] > car):
-                        spots[t] = bumped
-                        key = bytes(spots)
-                        nxt[key] = nxt.get(key, 0) + ways
-                        spots[t] = 0
-                else:
-                    key = bytes(spots)
-                    nxt[key] = nxt.get(key, 0) + ways
+                    if not (0 < t <= final[bumped] and (t == final[bumped] or target[t] > car)):
+                        continue
+                    spots[t] = bumped
+                spots[p] = car
+                key = bytes(spots)
+                nxt[key] = nxt.get(key, 0) + ways
                 spots[p] = bumped
+                if bumped:
+                    spots[t] = 0
         level = nxt
-    return level.get(target, 0)
+    return level
+
+
+def fibre_size(pi: Iterable[int]) -> int:
+    """Size of the MVP outcome fibre of pi, counted without listing it.
+
+    A dynamic program over the cars in arrival order, cut by the same rules
+    as the listing walk (see `_fibre_walk`).
+    """
+    word = check_permutation(pi)
+    target, final, choices = _car_setup(word)
+    return _occupancy_levels(len(word), final, final, target, choices).get(target, 0)
+
+
+def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
+    """The MVP fibre size of every permutation of [n], in one pass.
+
+    The dynamic program of `fibre_size` without a target: car c tries every
+    spot, and a branch dies only when the car it bumps finds no free spot
+    to its right.  The last level holds the full occupancies, one per
+    permutation, each with its fibre size; the sizes sum to (n+1)^(n-1).
+    The widest level holds n! states, about 140 MiB at n = 9 and 1 GiB at
+    n = 10, so n above `DISTRIBUTION_CAP` is refused before any is built.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > DISTRIBUTION_CAP:
+        raise SizeCapExceeded(f"n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
+    # Spot 0 is never held, so no car is tied to one spot; a final spot of n
+    # for every car and a target car above n cut only bumps off the street.
+    level = _occupancy_levels(n, [0] * (n + 1), [n] * (n + 1), bytes([n + 1] * (n + 1)),
+                              [range(1, n + 1)] * (n + 1))
+    return {tuple(state[1:]): ways for state, ways in level.items()}
 
 
 def p2_free_count(pi: Iterable[int]) -> int:

@@ -2,10 +2,9 @@
 
 Every cell is an exact count: fibre sizes come from the car-order dynamic
 program `fibre_size`, the P2-free and HS counts from their dynamic programs
-over the vertices; no cell walks subgraphs or reads a stored table.
-Builders accept a `jobs` argument to fan independent cells out over worker
-processes; results are merged in canonical order so output is identical
-regardless of job count.
+over the vertices, and each conjecture row from `outcome_distribution`, one
+pass over the whole outcome map of S_n; no cell walks subgraphs or reads a
+stored table.
 A table lists each identity check it failed in `failures`, which no
 renderer writes.
 """
@@ -15,16 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, permutations
-from math import comb, factorial
+from math import comb
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import bounds, fibre_size
+from .subgraphs import DISTRIBUTION_CAP, SizeCapExceeded, bounds, fibre_size, outcome_distribution
 
 __all__ = [
     "ReportTable",
@@ -59,25 +55,6 @@ class ReportTable:
         return [row[k] for row in self.rows]
 
 
-def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for `tasks` independent cells: at least one, and
-    never more than asked for, than there are cells, or than there are CPUs."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def _map_jobs(fn, specs, jobs):
-    workers = _workers(jobs, len(specs))
-    if workers == 1:
-        return [fn(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, specs))
-
-
-def _bounds_row(n: int) -> list[Cell]:
-    b = bounds(dec(n))
-    return [n, b.product_upper, b.p2free_count, b.fibre_size, b.hs_count]
-
-
 def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
     """Check each row against the known counts on dec(n): valid = Motzkin,
     P2-free = Bell, HS = 2^(n-1), and the sandwich between them."""
@@ -94,10 +71,11 @@ def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
     return failures
 
 
-def bounds_table(max_n: int, jobs: int = 1) -> ReportTable:
+def bounds_table(max_n: int) -> ReportTable:
     """Subgraph/P2-free/valid/HS counts for the decreasing permutation."""
     t0 = time.perf_counter()
-    rows = _map_jobs(_bounds_row, range(1, max_n + 1), jobs)
+    rows = [[n, (b := bounds(dec(n))).product_upper, b.p2free_count, b.fibre_size, b.hs_count]
+            for n in range(1, max_n + 1)]
     return ReportTable(
         name="bounds",
         headers=["n", "subgraphs", "p2free", "valid", "hs"],
@@ -107,86 +85,71 @@ def bounds_table(max_n: int, jobs: int = 1) -> ReportTable:
     )
 
 
-def _bipartite_cell(spec: tuple[int, int]) -> int:
-    m, n = spec
-    return fibre_size(bipart(m, n))
+def bipartite_table(max_m: int, max_n: int) -> ReportTable:
+    """Fibre sizes for the complete bipartite permutations, rows by n.
 
-
-def bipartite_table(max_m: int, max_n: int, jobs: int = 1) -> ReportTable:
-    """Fibre sizes for the complete bipartite permutations, rows by n."""
+    The n = 2 row is checked against thm-4.1: m + 1 + floor((m+1)^2 / 2).
+    """
     t0 = time.perf_counter()
-    specs = [(m, n) for n in range(1, max_n + 1) for m in range(1, max_m + 1)]
-    cells = _map_jobs(_bipartite_cell, specs, jobs)
-    rows: list[list[Cell]] = []
-    for k, n in enumerate(range(1, max_n + 1)):
-        rows.append([n, *cells[k * max_m : (k + 1) * max_m]])
+    rows = [[n, *(fibre_size(bipart(m, n)) for m in range(1, max_m + 1))]
+            for n in range(1, max_n + 1)]
+    failures = [f"FAIL bipartite m={m}: n=2 fibre is {size}, not m+1+floor((m+1)^2/2) = {want}"
+                for m, size in enumerate(rows[1][1:] if max_n >= 2 else (), start=1)
+                if size != (want := m + 1 + (m + 1) ** 2 // 2)]
     return ReportTable(
         name="bipartite",
         headers=["n"] + [f"m{m}" for m in range(1, max_m + 1)],
         rows=rows,
         metadata={"max_m": max_m, "max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
+        failures=failures,
     )
 
 
-def _dec_vs_split_row(n: int) -> list[Cell]:
-    return [n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))]
+def dec_vs_split_table(max_n: int) -> ReportTable:
+    """Fibre sizes of the decreasing vs the split permutation, n = 3..max_n.
 
-
-def dec_vs_split_table(max_n: int, jobs: int = 1) -> ReportTable:
-    """Fibre sizes of the decreasing vs the split permutation, n = 3..max_n."""
+    The dec column is checked against the Motzkin numbers.
+    """
     t0 = time.perf_counter()
-    rows = _map_jobs(_dec_vs_split_row, range(3, max_n + 1), jobs)
+    rows = [[n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))]
+            for n in range(3, max_n + 1)]
+    motzkin = motzkin_numbers(max_n)
+    failures = [f"FAIL dec-vs-split n={n}: dec fibre is {size}, not Motzkin(n) = {motzkin[n]}"
+                for n, size, _ in rows if size != motzkin[n]]
     return ReportTable(
         name="dec-vs-split",
         headers=["n", "dec", "split"],
         rows=rows,
         metadata={"max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
+        failures=failures,
     )
 
 
-def _conjecture_chunk(spec) -> list[int]:
-    n, lo, hi = spec
-    words = islice(permutations(range(1, n + 1)), lo, hi)
-    return [fibre_size(word) for word in words]
-
-
-def _conjecture_row(n: int, jobs: int, failures: list[str]) -> list[Cell]:
-    total = factorial(n)
-    step = -(-total // _workers(jobs, total))
-    chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    sizes: list[int] = []
-    for part in _map_jobs(_conjecture_chunk, chunks, jobs):
-        sizes.extend(part)
+def _conjecture_row(n: int, failures: list[str]) -> list[Cell]:
+    sizes = outcome_distribution(n)
     parking_functions = (n + 1) ** (n - 1)
-    if sum(sizes) != parking_functions:
-        failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {sum(sizes)}, "
+    if sum(sizes.values()) != parking_functions:
+        failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {sum(sizes.values())}, "
                         f"not (n+1)^(n-1) = {parking_functions}")
-    best = max(sizes)
-    argmax = [k for k, s in enumerate(sizes) if s == best]
-    perms_list = list(permutations(range(1, n + 1)))
-    split = split_right(2, n - 2)
-    split_size = sizes[perms_list.index(split)]
-    dec_size = sizes[perms_list.index(dec(n))]
-    return [
-        n,
-        best,
-        len(argmax),
-        split_size,
-        dec_size,
-        "yes" if split_size == best else "no",
-        format_permutation(perms_list[argmax[0]]),
-    ]
+    best = max(sizes.values())
+    argmax = [word for word, size in sizes.items() if size == best]
+    split_size = sizes[split_right(2, n - 2)]
+    return [n, best, len(argmax), split_size, sizes[dec(n)],
+            "yes" if split_size == best else "no", format_permutation(min(argmax))]
 
 
-def conjecture_table(max_n: int, jobs: int = 1) -> ReportTable:
+def conjecture_table(max_n: int) -> ReportTable:
     """Exhaustive fibre-size maxima over whole symmetric groups, n = 3..max_n.
 
     Data for the largest-fibre question only; proves nothing.  Each row
     checks that its fibres partition the (n+1)^(n-1) parking functions.
+    Refuses max_n above `DISTRIBUTION_CAP` before the first row.
     """
+    if max_n > DISTRIBUTION_CAP:
+        raise SizeCapExceeded(f"conjecture n={max_n} above outcome distribution cap {DISTRIBUTION_CAP}")
     t0 = time.perf_counter()
     failures: list[str] = []
-    rows = [_conjecture_row(n, jobs, failures) for n in range(3, max_n + 1)]
+    rows = [_conjecture_row(n, failures) for n in range(3, max_n + 1)]
     return ReportTable(
         name="conjecture",
         headers=["n", "max_fibre", "argmax_count", "split_fibre", "dec_fibre",

@@ -23,6 +23,7 @@ from mvparking.subgraphs import (
     is_hs,
     is_p2_free,
     is_valid,
+    outcome_distribution,
     p2_free_count,
     parse_arcs,
     pf_to_subgraph,
@@ -153,11 +154,19 @@ def test_car_order_walk_and_dps_match_the_spot_order_oracle_on_random_permutatio
 def test_fibre_size_matches_the_subgraph_walk_and_partitions_the_parking_functions():
     for n in range(1, 8):
         total = 0
+        sizes = {}
         for word in permutations(range(1, n + 1)):
-            size = fibre_size(word)
-            assert size == len(fibre_via_subgraphs(word)), word
-            total += size
+            sizes[word] = fibre_size(word)
+            assert sizes[word] == len(fibre_via_subgraphs(word)), word
+            total += sizes[word]
         assert total == (n + 1) ** (n - 1)
+        assert outcome_distribution(n) == sizes
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, 10, 11])
+def test_outcome_distribution_refuses_bad_or_oversized_n(n):
+    with pytest.raises(ValueError, match="cap 9" if n in (10, 11) else "positive integer"):
+        outcome_distribution(n)
 
 
 def test_fibre_size_matches_brute_force():

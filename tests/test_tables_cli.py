@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -40,7 +44,8 @@ def test_dec_vs_split_table_golden_small():
 
 
 def test_conjecture_table_small():
-    t = tables.conjecture_table(5)
+    t = tables.conjecture_table(8)
+    assert t.rows[-1] == [8, 341, 1, 341, 323, "yes", "78654321"] and not t.failures
     by_n = {row[0]: row for row in t.rows}
     assert by_n[5][t.headers.index("max_fibre")] == 21
     assert by_n[5][t.headers.index("split_fibre")] == 20
@@ -65,11 +70,6 @@ def test_render_json_and_pretty():
     assert data["metadata"]["max_n"] == 3
     pretty = tables.render_pretty(t)
     assert "subgraphs" in pretty and "# bounds" in pretty
-
-
-def test_jobs_do_not_change_results():
-    assert tables.bounds_table(5, jobs=2).rows == tables.bounds_table(5).rows
-    assert tables.dec_vs_split_table(5, jobs=2).rows == tables.dec_vs_split_table(5).rows
 
 
 # --- CLI ---------------------------------------------------------------
@@ -304,7 +304,11 @@ def test_cli_table_csv_golden(capsys):
 def test_cli_table_guards(capsys):
     code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "14")
     assert code == 2 and "guard" in err
-    code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "12")
+    code, out, err = run_cli(capsys, "table", "dec-vs-split", "--format", "csv")
+    assert code == 0 and not err and out.endswith("\n13,41835,46850\n")
+    code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "14")
+    assert code == 2 and "guard" in err
+    code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "9")
     assert code == 2 and "guard" in err
     code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "8", "--max-n", "2")
     assert code == 2 and "guard" in err
@@ -316,6 +320,16 @@ def test_cli_table_force_overrides_guard(capsys):
     assert code == 0 and not err
     _, rows = tables.parse_csv(out)
     assert rows[-1] == [14, 87178291200, 190899322, 113634, 8192]
+
+
+def test_cli_conjecture_above_the_distribution_cap_exits_2_at_once(capsys, monkeypatch):
+    def row(*_args):
+        raise AssertionError("a row was built before the cap was checked")
+
+    monkeypatch.setattr(tables, "_conjecture_row", row)
+    code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "10", "--force")
+    assert code == 2 and not out
+    assert err.startswith("error: conjecture n=10 above outcome distribution cap 9")
 
 
 def test_cli_verify(capsys):
@@ -391,48 +405,23 @@ def test_cli_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
     assert not out and "unrecognized arguments" in err
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and runs the cells in this process, so no worker is ever started."""
-
-    started: list[int] = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, specs):
-        return map(fn, specs)
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
+def test_cli_jobs_other_than_one_exit_2(capsys, jobs):
+    code, out, _ = run_cli(capsys, "table", "bounds", "--max-n", "3", "--jobs", "1")
+    assert code == 0 and out.startswith("# bounds")
+    out, err = usage_error(capsys, "table", "bounds", "--max-n", "3", "--jobs", jobs)
+    assert not out and "--jobs" in err
 
 
-def test_jobs_clamped_to_cells_and_cpus(monkeypatch, capsys):
-    monkeypatch.setattr(tables, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "started", [])
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert tables.bounds_table(3, jobs=64).rows == tables.bounds_table(3).rows
-    assert tables.bounds_table(9, jobs=64).rows == tables.bounds_table(9).rows
-    assert tables.dec_vs_split_table(5, jobs=64).rows == tables.dec_vs_split_table(5).rows
-    assert tables.conjecture_table(4, jobs=64).rows == tables.conjecture_table(4).rows
-    assert tables.bounds_table(1, jobs=64).rows == [[1, 1, 1, 1, 1]]
-    assert _SerialPool.started == [3, 4, 3, 3, 4]  # conjecture: one pool per n = 3, 4
-    code, _, _ = run_cli(capsys, "table", "bounds", "--max-n", "2", "--jobs", "64")
-    assert code == 0 and _SerialPool.started[-1] == 2
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    tables.bounds_table(5, jobs=8)
-    assert len(_SerialPool.started) == 6
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_cli_jobs_below_one_exit_2(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "bounds", "--max-n", "3", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+def test_cli_imports_no_process_machinery():
+    code = ("import mvparking.cli, sys; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -451,7 +440,8 @@ def test_cli_table_rejects_sizes_without_cells(capsys, argv):
 def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "3")
     assert code == 0 and not err
-    monkeypatch.setattr(tables, "fibre_size", lambda word: 0)
+    monkeypatch.setattr(tables, "outcome_distribution",
+                        lambda n: dict.fromkeys(permutations(range(1, n + 1)), 0))
     code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "3", "--format", "csv")
     assert code == 1 and out.startswith("n,max_fibre")
     assert err == "FAIL conjecture n=3: fibre sizes sum to 0, not (n+1)^(n-1) = 16\n"
@@ -508,3 +498,25 @@ def test_cli_bounds_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     assert code == 1 and out == "n,subgraphs,p2free,valid,hs\n1,1,1,1,0\n2,2,2,2,0\n3,6,5,4,0\n"
     assert [line.split(":")[0] for line in err.splitlines()] == [
         "FAIL bounds n=1", "FAIL bounds n=2", "FAIL bounds n=3"]
+
+
+def test_cli_dec_vs_split_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
+    code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "4")
+    assert code == 0 and not err
+    monkeypatch.setattr(tables, "fibre_size", lambda word: 0)
+    code, out, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "4", "--format", "csv")
+    assert code == 1 and out == "n,dec,split\n3,0,0\n4,0,0\n"
+    assert err == ("FAIL dec-vs-split n=3: dec fibre is 0, not Motzkin(n) = 4\n"
+                   "FAIL dec-vs-split n=4: dec fibre is 0, not Motzkin(n) = 9\n")
+
+
+def test_cli_bipartite_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
+    code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "2")
+    assert code == 0 and not err
+    monkeypatch.setattr(tables, "fibre_size", lambda word: 4)
+    code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "2",
+                             "--format", "csv")
+    assert code == 1 and out == "n,m1,m2\n1,4,4\n2,4,4\n"
+    assert err == "FAIL bipartite m=2: n=2 fibre is 4, not m+1+floor((m+1)^2/2) = 7\n"
+    code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "1")
+    assert code == 0 and not err
