@@ -44,6 +44,8 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 13), "conjecture": (3, 8)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
+# Largest `fibre --perm` without --force: listing dec(14) takes seconds, bipart(8,8) about a minute.
+FIBRE_GUARD = 14
 
 
 class _Output(NamedTuple):
@@ -75,6 +77,8 @@ def cmd_outcome(args) -> tuple[int, _Output]:
 
 def cmd_fibre(args) -> tuple[int, _Output]:
     word = parse_permutation(args.perm)
+    if len(word) > FIBRE_GUARD and not args.force:
+        raise ValueError(f"n={len(word)} above guard {FIBRE_GUARD} for fibre (use --force)")
     # Brute force first: it refuses n above its cap before any walk starts.
     brute = fibre_brute(word) if args.method != "subgraph" else None
     fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
@@ -214,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = operation(commands, "fibre", cmd_fibre, tabular, help="enumerate an outcome fibre")
     p.add_argument("--perm", required=True, metavar="PERM")
     p.add_argument("--method", choices=["subgraph", "brute", "both"], default="subgraph")
+    p.add_argument("--force", action="store_true", help="override the fibre size guard")
 
     group = operations("table", "reproduce an enumeration table", "which")
     for which, (least, guard) in TABLE_GUARDS.items():

@@ -15,9 +15,11 @@ whose arcs are pairwise horizontally disjoint, endpoints included, is valid
 
 Fibres are listed by a walk over the cars in arrival order that parks them
 as it goes and cuts every branch that can no longer end at pi, so each
-branch it completes is a fibre member.  `fibre_size` counts under the same
-rules without listing, `outcome_distribution` counts every fibre of S_n in
-one pass without a target, and `fibre_brute` is the independent n^n scan.
+branch it completes is a fibre member.  `fibre_size` counts without
+listing, backward from pi: it un-parks the cars n..1, so it only meets
+occupancies that still park to pi.  `outcome_distribution` counts every
+fibre of S_n in one forward pass from the empty street, and `fibre_brute`
+is the independent n^n scan.
 """
 
 from __future__ import annotations
@@ -166,19 +168,6 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _car_setup(word):
-    """The padded target occupancy (bytes, spot -> car, so n <= 255), the
-    final spot F(c) of each car, and the spots car c may prefer: F(c), or an
-    inversion source p < F(c), whose final car arrives after c."""
-    n = len(word)
-    target = bytes([0, *word])
-    final = [0] * (n + 1)
-    for spot, car in enumerate(word, start=1):
-        final[car] = spot
-    choices = [[p for p in range(1, final[car] + 1) if target[p] >= car] for car in range(n + 1)]
-    return target, final, choices
-
-
 def _fibre_walk(word):
     """Every preference whose MVP outcome is `word`, by a DFS in car order.
 
@@ -191,7 +180,11 @@ def _fibre_walk(word):
     spots: each is at its final spot, so every leaf is a fibre member.
     """
     n = len(word)
-    target, final, choices = _car_setup(word)
+    target = bytes([0, *word])  # padded, spot -> car, so n <= 255
+    final = [0] * (n + 1)
+    for spot, car in enumerate(word, start=1):
+        final[car] = spot
+    choices = [[p for p in range(1, final[car] + 1) if target[p] >= car] for car in range(n + 1)]
     spots = bytearray(n + 1)
     prefs = [0] * n
     found = []
@@ -251,30 +244,28 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
     ]
 
 
-def _occupancy_levels(n: int, home, final, target, choices) -> dict[bytes, int]:
-    """The car-order dynamic program behind `fibre_size` and
-    `outcome_distribution`, returning its last level.
+def _occupancy_levels(n: int) -> dict[bytes, int]:
+    """The forward car-order dynamic program behind `outcome_distribution`,
+    returning its last level.
 
     Level c maps each occupancy reachable after cars 1..c have parked
     (padded bytes, spot -> car, 0 for empty) to the number of preference
-    prefixes reaching it.  Car c prefers home[c] if that spot is held, and
-    otherwise one of choices[c].  A car b it bumps moves to the first free
-    spot t to the right, and the branch dies unless t <= final[b] and
-    either t == final[b] or target[t] > c.  Only two levels are alive; the
-    old one is consumed as the new one grows.
+    prefixes reaching it.  Car c tries every spot; a car b it bumps moves to
+    the first free spot to the right, and the branch dies when there is
+    none.  Only two levels are alive; the old one is consumed as the new
+    one grows.
     """
     level = {bytes(n + 1): 1}
     for car in range(1, n + 1):
-        held = home[car]
         nxt: dict[bytes, int] = {}
         while level:
             state, ways = level.popitem()
             spots = bytearray(state)
-            for p in (held,) if spots[held] else choices[car]:
+            for p in range(1, n + 1):
                 bumped = spots[p]
                 if bumped:
                     t = spots.find(0, p + 1)
-                    if not (0 < t <= final[bumped] and (t == final[bumped] or target[t] > car)):
+                    if t < 0:
                         continue
                     spots[t] = bumped
                 spots[p] = car
@@ -290,33 +281,57 @@ def _occupancy_levels(n: int, home, final, target, choices) -> dict[bytes, int]:
 def fibre_size(pi: Iterable[int]) -> int:
     """Size of the MVP outcome fibre of pi, counted without listing it.
 
-    A dynamic program over the cars in arrival order, cut by the same rules
-    as the listing walk (see `_fibre_walk`).
+    A dynamic program backward from pi.  Level c maps each occupancy after
+    cars 1..c have parked (padded bytes, spot -> car, 0 for empty, so
+    n <= 255) to the number of ways cars c+1..n can finish it to pi.  Car c
+    still holds the spot p it preferred, and it came to p in one of two
+    ways: p was free, or it bumped the car b now at some t in the occupied
+    run right of p, since b moved to the first free spot.  Un-parking car c
+    undoes either move, and the count at the empty street is the fibre size.
+
+    Each backward step is an MVP step read in reverse, and every occupancy
+    of cars 1..c-1 is reachable from the empty street, so every occupancy
+    met lies on a path from the empty street to pi and no count is lost.
+    The cuts of the listing walk (see `_fibre_walk`) need no test here:
+    they hold on every such path.
     """
     word = check_permutation(pi)
-    target, final, choices = _car_setup(word)
-    return _occupancy_levels(len(word), final, final, target, choices).get(target, 0)
+    n = len(word)
+    level = {bytes([0, *word, 0]): 1}  # spot n+1 stays free and ends every run
+    for car in range(n, 0, -1):
+        nxt: dict[bytes, int] = {}
+        while level:
+            state, ways = level.popitem()
+            spots = bytearray(state)
+            p = spots.index(car)
+            spots[p] = 0
+            key = bytes(spots)
+            nxt[key] = nxt.get(key, 0) + ways
+            for t in range(p + 1, spots.find(0, p + 1)):
+                spots[p] = bumped = spots[t]
+                spots[t] = 0
+                key = bytes(spots)
+                nxt[key] = nxt.get(key, 0) + ways
+                spots[t] = bumped
+        level = nxt
+    return level[bytes(n + 2)]
 
 
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
     """The MVP fibre size of every permutation of [n], in one pass.
 
-    The dynamic program of `fibre_size` without a target: car c tries every
-    spot, and a branch dies only when the car it bumps finds no free spot
-    to its right.  The last level holds the full occupancies, one per
-    permutation, each with its fibre size; the sizes sum to (n+1)^(n-1).
-    The widest level holds n! states, about 140 MiB at n = 9 and 1 GiB at
-    n = 10, so n above `DISTRIBUTION_CAP` is refused before any is built.
+    A forward dynamic program from the empty street (`_occupancy_levels`):
+    its last level holds the full occupancies, one per permutation, each
+    with its fibre size; the sizes sum to (n+1)^(n-1).  It shares no code
+    with `fibre_size`, so each is the other's oracle.  The widest level
+    holds n! states, about 140 MiB at n = 9 and 1 GiB at n = 10, so n above
+    `DISTRIBUTION_CAP` is refused before any is built.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > DISTRIBUTION_CAP:
         raise SizeCapExceeded(f"n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
-    # Spot 0 is never held, so no car is tied to one spot; a final spot of n
-    # for every car and a target car above n cut only bumps off the street.
-    level = _occupancy_levels(n, [0] * (n + 1), [n] * (n + 1), bytes([n + 1] * (n + 1)),
-                              [range(1, n + 1)] * (n + 1))
-    return {tuple(state[1:]): ways for state, ways in level.items()}
+    return {tuple(state[1:]): ways for state, ways in _occupancy_levels(n).items()}
 
 
 def p2_free_count(pi: Iterable[int]) -> int:

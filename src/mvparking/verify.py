@@ -47,12 +47,16 @@ from .sandpile import (
     topple,
 )
 from .subgraphs import (
+    DISTRIBUTION_CAP,
+    SizeCapExceeded,
     count_one_subgraphs,
     enumerate_one_subgraphs,
+    fibre_size,
     fibre_via_subgraphs,
     format_arcs,
     is_hs,
     is_p2_free,
+    outcome_distribution,
     pf_to_subgraph,
     subgraph_to_pf,
     valid_subgraphs,
@@ -249,6 +253,30 @@ def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"bijection onto the split permutation's valid subgraphs for n<={n_cap}"
 
 
+def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+    if n_cap > DISTRIBUTION_CAP:  # refused up front: the n below the cap alone run for minutes
+        raise SizeCapExceeded(f"fibre-size n={n_cap} above outcome distribution cap {DISTRIBUTION_CAP}")
+    checked = 0
+    for n in range(1, n_cap + 1):
+        forward = outcome_distribution(n)
+        total = 0
+        for word in permutations(range(1, n + 1)):
+            checked += 1
+            backward, listed = fibre_size(word), len(fibre_via_subgraphs(word))
+            if not backward == forward[word] == listed:
+                raise _Counterexample(
+                    checked, "backward DP vs whole-S_n forward DP vs listing walk",
+                    f"pi={format_permutation(word)}: fibre_size={backward} "
+                    f"outcome_distribution={forward[word]} walk={listed}")
+            total += backward
+        if total != (n + 1) ** (n - 1):
+            raise _Counterexample(checked, "fibre sizes sum to (n+1)^(n-1)",
+                                  f"n={n}: sum {total}, want {(n + 1) ** (n - 1)}")
+    return checked, (
+        f"fibre_size equals outcome_distribution and the listing walk on every "
+        f"permutation with n<={n_cap}, the sizes summing to (n+1)^(n-1)")
+
+
 _ABELIAN_CASES = 200  # random recurrent configurations per n
 
 
@@ -291,6 +319,7 @@ _SUITES = {
     "thm-5.5": (_suite_thm_5_5, {"n": 6}),
     "thm-6.3": (_suite_thm_6_3, {"n": 8}),
     "abelian": (_suite_abelian, {"n": 8}),
+    "fibre-size": (_suite_fibre_size, {"n": 7}),
 }
 
 SUITE_NAMES = list(_SUITES)

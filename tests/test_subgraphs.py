@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvparking.motzkin import motzkin_numbers
 from mvparking.parking import displacement_mvp, is_parking_function
 from mvparking.perms import bipart, dec, split_right
 from mvparking.subgraphs import (
@@ -179,6 +181,17 @@ def test_fibre_size_pinned_paper_cells():
     assert fibre_size(bipart(7, 7)) == 11337
     assert fibre_size(dec(11)) == 5798
     assert fibre_size(split_right(2, 9)) == 6385
+    # beyond the table guards; each was cross-checked once against the
+    # forward dynamic program
+    assert fibre_size(bipart(8, 8)) == 50_430
+    assert fibre_size(dec(15)) == motzkin_numbers(15)[15] == 310_572
+    assert fibre_size(split_right(2, 13)) == 352_041
+
+
+def test_fibre_size_matches_outcome_distribution_on_a_sample_of_s8():
+    sizes = outcome_distribution(8)
+    for word in random.Random(8).sample(sorted(sizes), 300):
+        assert fibre_size(word) == sizes[word], word
 
 
 def test_pinned_walk_counters():

@@ -165,6 +165,18 @@ def test_cli_fibre_brute_cap(capsys, monkeypatch):
     assert code == 2 and not out and err == "error: n=11 above brute-force cap 7\n"
 
 
+def test_cli_fibre_guard(capsys, monkeypatch):
+    def walk(*_args, **_kwargs):
+        raise AssertionError("walked before the fibre guard was checked")
+
+    monkeypatch.setattr(cli, "fibre_via_subgraphs", walk)
+    code, out, err = run_cli(capsys, "fibre", "--perm", ",".join(map(str, range(15, 0, -1))))
+    assert code == 2 and not out and err == "error: n=15 above guard 14 for fibre (use --force)\n"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "fibre", "--perm", ",".join(map(str, range(1, 16))), "--force")
+    assert code == 0 and out.splitlines() == [",".join(map(str, range(1, 16))), "size 1"]
+
+
 def test_cli_motzkin(capsys):
     code, out, _ = run_cli(capsys, "motzkin", "phi", "-p", "2,2,1,4,3,6,4,6")
     assert code == 0 and out.strip() == "HUHUDUDD"
@@ -388,7 +400,7 @@ def test_cli_bad_arguments_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["outcome", "--model", "mvp", "-p", "1", "--jobs", "2"],
     ["outcome", "--model", "mvp", "-p", "1", "--seed", "3"],
-    ["fibre", "--perm", "1", "--force"],
+    ["fibre", "--perm", "1", "--seed", "1"],
     ["fibre", "--perm", "1", "--trace"],
     ["table", "bounds", "--max-n", "1", "--seed", "1"],
     ["table", "bounds", "--max-n", "1", "--trace"],
@@ -470,6 +482,24 @@ def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
     assert code == 1 and json.loads(out) == [{
         "suite": "prop-2.9", "passed": False, "checked": 1,
         "detail": "displacement equals total arc length", "counterexample": "p=1"}]
+
+
+def test_verify_fibre_size_suite(monkeypatch, capsys):
+    result = verify.run_suite("fibre-size", n=6)
+    assert result.passed and result.checked == 1 + 2 + 6 + 24 + 120 + 720
+    with pytest.raises(subgraphs.SizeCapExceeded, match="n=10 above outcome distribution cap 9"):
+        verify.run_suite("fibre-size", n=10)
+    code, out, err = run_cli(capsys, "verify", "--suite", "fibre-size", "--n", "10")
+    assert code == 2 and not out and "cap 9" in err
+    monkeypatch.setattr(verify, "fibre_size", lambda word: 1)
+    result = verify.run_suite("fibre-size", n=3)
+    assert (result.passed, result.checked, result.counterexample) == (
+        False, 3, "pi=21: fibre_size=1 outcome_distribution=2 walk=2")
+    monkeypatch.setattr(verify, "fibre_size", lambda word: 0)
+    monkeypatch.setattr(verify, "outcome_distribution", lambda n: {(1,): 0})
+    monkeypatch.setattr(verify, "fibre_via_subgraphs", lambda word: [])
+    result = verify.run_suite("fibre-size", n=1)
+    assert (result.passed, result.counterexample) == (False, "n=1: sum 0, want 1")
 
 
 def test_readme_cli_examples(capsys):
