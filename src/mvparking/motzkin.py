@@ -10,8 +10,13 @@ is preferred by at most two cars.
 Non-crossing matchings on [n] (vertex-disjoint arcs, no two crossing) are
 counted by the Motzkin numbers and coincide with the valid 1-subgraphs of
 the decreasing permutation's inversion graph, so they parametrise the
-decreasing fibre.  A small arc surgery near the right end carries them onto
-the valid subgraphs of the split permutation n (n-1) ... 3 1 2.
+decreasing fibre.  They are in bijection with Motzkin paths: each arc opens
+with U and closes with D, every other vertex is H, and conversely each D
+closes the nearest open U.  Read through the popularity path, this builds
+the one rearrangement of a two-cars-per-spot parking function that parks to
+the decreasing permutation.  A small arc surgery near the right end carries
+the matchings onto the valid subgraphs of the split permutation
+n (n-1) ... 3 1 2.
 """
 
 from __future__ import annotations
@@ -128,51 +133,35 @@ def is_motzkin_pf(p: Iterable[int]) -> bool:
     return max(Counter(prefs).values()) <= 2
 
 
-def _distinct_rearrangements(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, lexicographically."""
-    pool = Counter(values)
-    buf: list[int] = []
-    n = len(values)
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(buf) == n:
-            yield tuple(buf)
-            return
-        for v in sorted(pool):
-            if pool[v]:
-                pool[v] -= 1
-                buf.append(v)
-                yield from rec()
-                buf.pop()
-                pool[v] += 1
-
-    return rec()
-
-
 def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
     """The unique rearrangement of p whose MVP outcome is decreasing.
 
-    Searches the distinct rearrangements of the preference multiset and
-    insists on exactly one hit; anything else is an internal failure, since
-    existence and uniqueness are guaranteed for two-cars-per-spot parking
-    functions.
+    The popularity path of p is a Motzkin path; its matching, read as a
+    subgraph of the decreasing permutation, induces a preference in which
+    the cars at a U spot and at the D spot closing it both prefer the U
+    spot, so it is a rearrangement of p.  Existence and uniqueness are
+    guaranteed for two-cars-per-spot parking functions, so a built
+    preference that does not park to the decreasing permutation is an
+    internal failure.
     """
     prefs = check_preference(p)
     if not is_motzkin_pf(prefs):
         raise NotAMotzkinParkingFunction(f"some spot preferred >2 times in {prefs}")
     n = len(prefs)
-    target = [0, *dec(n)]
-    hits = [q for q in _distinct_rearrangements(prefs) if _mvp(q, n) == target]
-    if len(hits) != 1:
-        raise AssertionError(
-            f"expected exactly one rearrangement of {prefs} parking to {dec(n)}, got {len(hits)}"
-        )
-    return hits[0]
+    rep = subgraph_to_pf(_path_matching(preference_path(prefs)), dec(n))
+    if _mvp(rep, n) != [0, *dec(n)]:
+        raise AssertionError(f"{rep}, built from {prefs}, does not park to {dec(n)}")
+    return rep
 
 
 def is_noncrossing_matching(arcs: Iterable[tuple[int, int]], n: int) -> bool:
-    """Matching (every vertex on at most one arc) with no crossing pair."""
-    pairs = sorted(tuple(a) for a in arcs)
+    """Matching (every vertex on at most one arc) with no crossing pair.
+
+    A matching is non-crossing exactly when reading its Motzkin path back
+    gives the same arcs: each D closes the nearest open U, so a crossing
+    pair comes back nested.
+    """
+    pairs = [tuple(a) for a in arcs]
     seen: set[int] = set()
     for j, i in pairs:
         if not 1 <= j < i <= n:
@@ -180,13 +169,7 @@ def is_noncrossing_matching(arcs: Iterable[tuple[int, int]], n: int) -> bool:
         if j in seen or i in seen:
             return False
         seen.update((j, i))
-    for x in range(len(pairs)):
-        a, b = pairs[x]
-        for y in range(x + 1, len(pairs)):
-            c, d = pairs[y]
-            if a < c < b < d:
-                return False
-    return True
+    return _path_matching(noncross_to_motzkin(pairs, n)) == set(pairs)
 
 
 def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -222,29 +205,37 @@ def noncross_to_motzkin(arcs: Iterable[tuple[int, int]], n: int) -> str:
     return "".join(steps)
 
 
+def _path_matching(path: str) -> frozenset[tuple[int, int]]:
+    """Inverse of `noncross_to_motzkin` on Motzkin paths: each D closes the
+    nearest open U."""
+    opened: list[int] = []
+    arcs = []
+    for k, step in enumerate(path, start=1):
+        if step == "U":
+            opened.append(k)
+        elif step == "D":
+            arcs.append((opened.pop(), k))
+    return frozenset(arcs)
+
+
 def prime_decomposition(arcs: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     """Maximal factors of a non-crossing matching, as intervals partitioning [n].
 
-    Outermost arcs span their interval; vertices outside every outermost
-    arc become singleton intervals.
+    Each return of the matching's Motzkin path to height 0 closes one
+    interval: an outermost arc spans its interval, and a vertex outside
+    every arc is a singleton.
     """
-    pairs = sorted(tuple(a) for a in arcs)
-    outer = [
-        (a, b)
-        for a, b in pairs
-        if not any(x < a and b < y for x, y in pairs)
-    ]
+    pairs = frozenset(tuple(a) for a in arcs)
+    if not is_noncrossing_matching(pairs, n):
+        raise NotANonCrossingMatching(f"{sorted(pairs)} on [{n}]")
     intervals: list[tuple[int, int]] = []
-    v = 1
-    for a, b in outer:
-        while v < a:
-            intervals.append((v, v))
-            v += 1
-        intervals.append((a, b))
-        v = b + 1
-    while v <= n:
-        intervals.append((v, v))
-        v += 1
+    height = 0
+    for k, step in enumerate(noncross_to_motzkin(pairs, n), start=1):
+        if not height:
+            start = k
+        height += (step == "U") - (step == "D")
+        if not height:
+            intervals.append((start, k))
     return intervals
 
 

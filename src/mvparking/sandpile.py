@@ -64,7 +64,7 @@ class VertexStable(ValueError):
 
 
 class MinrecStep(NamedTuple):
-    """One duplicate-elimination pass: index `j` collided, index `target`
+    """One duplicate-elimination step: index `j` collided, index `target`
     was decremented from `before` to `after`."""
 
     j: int
@@ -206,30 +206,31 @@ def preference_to_config(p: Iterable[int]) -> tuple[int, ...]:
 
 
 def _duplicate_elimination(cfg, classical):
-    """Shared loop behind minrec and its classical variant.
+    """Shared pass behind minrec and its classical variant.
 
-    Each iteration finds the first index j whose value already occurred,
-    then decrements one of the pair a grain at a time until its value is
-    unique among indices 1..j: the earlier index for the MVP variant, j
-    itself for the classical one.
+    Left to right, `where` maps each value seen so far to its index, and
+    these values stay distinct.  When index j repeats a value, one of the
+    pair drops to the largest smaller value not held among indices 1..j:
+    the earlier index for the MVP variant, j itself for the classical one.
     """
     values = list(cfg)
     steps: list[MinrecStep] = []
-    while True:
-        seen: set[int] = set()
-        j = 0
-        for k, v in enumerate(values, start=1):
-            if v in seen:
-                j = k
-                break
-            seen.add(v)
-        if not j:
-            return tuple(values), steps
-        t = j if classical else values.index(values[j - 1]) + 1
-        before = values[t - 1]
-        while any(values[k] == values[t - 1] for k in range(j) if k != t - 1):
-            values[t - 1] -= 1
-        steps.append(MinrecStep(j, t, before, values[t - 1]))
+    where: dict[int, int] = {}
+    for j, v in enumerate(values, start=1):
+        if v not in where:
+            where[v] = j
+            continue
+        if classical:
+            t = j
+        else:
+            t, where[v] = where[v], j
+        after = v - 1
+        while after in where:
+            after -= 1
+        values[t - 1] = after
+        where[after] = t
+        steps.append(MinrecStep(j, t, v, after))
+    return tuple(values), steps
 
 
 def minrec_trace(c: Iterable[int]) -> tuple[tuple[int, ...], list[MinrecStep]]:

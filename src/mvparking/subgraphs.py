@@ -244,40 +244,6 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
     ]
 
 
-def _occupancy_levels(n: int) -> dict[bytes, int]:
-    """The forward car-order dynamic program behind `outcome_distribution`,
-    returning its last level.
-
-    Level c maps each occupancy reachable after cars 1..c have parked
-    (padded bytes, spot -> car, 0 for empty) to the number of preference
-    prefixes reaching it.  Car c tries every spot; a car b it bumps moves to
-    the first free spot to the right, and the branch dies when there is
-    none.  Only two levels are alive; the old one is consumed as the new
-    one grows.
-    """
-    level = {bytes(n + 1): 1}
-    for car in range(1, n + 1):
-        nxt: dict[bytes, int] = {}
-        while level:
-            state, ways = level.popitem()
-            spots = bytearray(state)
-            for p in range(1, n + 1):
-                bumped = spots[p]
-                if bumped:
-                    t = spots.find(0, p + 1)
-                    if t < 0:
-                        continue
-                    spots[t] = bumped
-                spots[p] = car
-                key = bytes(spots)
-                nxt[key] = nxt.get(key, 0) + ways
-                spots[p] = bumped
-                if bumped:
-                    spots[t] = 0
-        level = nxt
-    return level
-
-
 def fibre_size(pi: Iterable[int]) -> int:
     """Size of the MVP outcome fibre of pi, counted without listing it.
 
@@ -320,8 +286,14 @@ def fibre_size(pi: Iterable[int]) -> int:
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
     """The MVP fibre size of every permutation of [n], in one pass.
 
-    A forward dynamic program from the empty street (`_occupancy_levels`):
-    its last level holds the full occupancies, one per permutation, each
+    A forward dynamic program from the empty street.  Level c maps each
+    occupancy reachable after cars 1..c have parked (padded bytes,
+    spot -> car, 0 for empty) to the number of preference prefixes reaching
+    it.  Car c tries every spot; a car b it bumps moves to the first free
+    spot to the right, and the branch dies when there is none.  Only two
+    levels are alive; the old one is consumed as the new one grows.
+
+    The last level holds the full occupancies, one per permutation, each
     with its fibre size; the sizes sum to (n+1)^(n-1).  It shares no code
     with `fibre_size`, so each is the other's oracle.  The widest level
     holds n! states, about 140 MiB at n = 9 and 1 GiB at n = 10, so n above
@@ -331,7 +303,27 @@ def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > DISTRIBUTION_CAP:
         raise SizeCapExceeded(f"n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
-    return {tuple(state[1:]): ways for state, ways in _occupancy_levels(n).items()}
+    level = {bytes(n + 1): 1}
+    for car in range(1, n + 1):
+        nxt: dict[bytes, int] = {}
+        while level:
+            state, ways = level.popitem()
+            spots = bytearray(state)
+            for p in range(1, n + 1):
+                bumped = spots[p]
+                if bumped:
+                    t = spots.find(0, p + 1)
+                    if t < 0:
+                        continue
+                    spots[t] = bumped
+                spots[p] = car
+                key = bytes(spots)
+                nxt[key] = nxt.get(key, 0) + ways
+                spots[p] = bumped
+                if bumped:
+                    spots[t] = 0
+        level = nxt
+    return {tuple(state[1:]): ways for state, ways in level.items()}
 
 
 def p2_free_count(pi: Iterable[int]) -> int:

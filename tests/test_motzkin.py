@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,6 +8,7 @@ from mvparking.motzkin import (
     NotAMotzkinParkingFunction,
     NotAMotzkinPath,
     NotANonCrossingMatching,
+    _path_matching,
     dec_to_split_subgraph,
     decreasing_fibre,
     decreasing_representative,
@@ -79,9 +80,11 @@ def test_decreasing_representative_goldens():
 
 
 def test_decreasing_representative_fixes_fibre_members():
-    for p in fibre_via_subgraphs(dec(5)):
-        if is_motzkin_pf(p):
-            assert decreasing_representative(p) == p
+    # every member is two-cars-per-spot, and its sorted multiset rebuilds it
+    for n in range(1, 10):
+        for q in fibre_via_subgraphs(dec(n)):
+            assert decreasing_representative(q) == q
+            assert decreasing_representative(sorted(q)) == q
 
 
 def test_unique_rearrangement_exhaustive():
@@ -141,6 +144,26 @@ def test_is_noncrossing_matching_rejects():
     assert not is_noncrossing_matching({(1, 5)}, 4)           # outside [n]
 
 
+def test_is_noncrossing_matching_exhaustive_against_brute():
+    for n in range(0, 7):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        accepted = {
+            frozenset(arcs)
+            for k in range(len(pairs) + 1)
+            for arcs in combinations(pairs, k)
+            if is_noncrossing_matching(arcs, n)
+        }
+        assert accepted == brute_noncrossing(n)
+
+
+def test_path_matching_inverts_noncross_to_motzkin():
+    for n in range(0, 11):
+        for m in noncrossing_matchings(n):
+            assert _path_matching(noncross_to_motzkin(m, n)) == m
+        for path in gen_motzkin_paths(n):
+            assert noncross_to_motzkin(_path_matching(path), n) == path
+
+
 def test_noncross_to_motzkin_goldens():
     assert noncross_to_motzkin(frozenset(), 4) == "HHHH"
     assert noncross_to_motzkin({(1, 2)}, 2) == "UD"
@@ -164,6 +187,10 @@ def test_prime_decomposition():
             intervals = prime_decomposition(m, n)
             covered = [v for a, b in intervals for v in range(a, b + 1)]
             assert covered == list(range(1, n + 1))
+    with pytest.raises(NotANonCrossingMatching):
+        prime_decomposition({(1, 3), (2, 4)}, 4)   # crossing
+    with pytest.raises(NotANonCrossingMatching):
+        prime_decomposition({(1, 2), (2, 3)}, 3)   # shared vertex
 
 
 def test_decreasing_fibre():

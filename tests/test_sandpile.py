@@ -174,6 +174,18 @@ def test_minrec_only_touches_duplicate_members():
             assert changed == {s.target for s in steps if s.before != s.after}
 
 
+def test_reduction_steps_move_right_and_decrease():
+    for n in range(1, 7):
+        for p in product(range(1, n + 1), repeat=n):
+            if not is_parking_function(p):
+                continue
+            c = tuple(n - x for x in p)
+            for trace in (minrec_trace, minrec_classical_trace):
+                steps = trace(c)[1]
+                assert all(a.j < b.j for a, b in zip(steps, steps[1:]))
+                assert all(s.after < s.before for s in steps)
+
+
 def test_each_iteration_preserves_mvp_outcome():
     # replay the decrement log one step at a time; the complement's outcome
     # must never change
