@@ -44,8 +44,13 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 13), "conjecture": (3, 8)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
-# Largest `fibre --perm` without --force: listing dec(14) takes seconds, bipart(8,8) about a minute.
+# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.4 s and
+# bipart(8,8) 0.3 s, but the output grows with the fibre: dec(16) takes 3 s and 460 MiB.
 FIBRE_GUARD = 14
+# Largest grain total times vertex count for `sandpile stabilise` without --force.  A toppling
+# removes one grain and costs a pass over the vertices, and the witness keeps one entry per
+# toppling: 1.3M grains on 3 vertices take about 1 s, 1M grains on 500 vertices 13 s.
+STABILISE_GUARD = 4_000_000
 
 
 class _Output(NamedTuple):
@@ -79,7 +84,7 @@ def cmd_fibre(args) -> tuple[int, _Output]:
     word = parse_permutation(args.perm)
     if len(word) > FIBRE_GUARD and not args.force:
         raise ValueError(f"n={len(word)} above guard {FIBRE_GUARD} for fibre (use --force)")
-    # Brute force first: it refuses n above its cap before any walk starts.
+    # Brute force first: it refuses n above its cap before the listing starts.
     brute = fibre_brute(word) if args.method != "subgraph" else None
     fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
     status = 1 if args.method == "both" and fibre != brute else 0
@@ -143,7 +148,12 @@ def cmd_sandpile(args) -> tuple[int, _Output]:
 
 
 def _stabilise(args) -> list[str]:
-    stable, seq = stabilise(parse_config(args.config))
+    config = parse_config(args.config)
+    grains, n = sum(config), len(config)
+    if grains * n > STABILISE_GUARD and not args.force:
+        raise ValueError(f"{grains} grains times {n} vertices above guard {STABILISE_GUARD} "
+                         "for stabilise (use --force)")
+    stable, seq = stabilise(config)
     lines = [format_config(stable)]
     if args.trace:
         lines.append("toppled: " + (",".join(map(str, seq)) if seq else "(none)"))
@@ -257,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("stabilise", "minrec", "minrec-classical"):
             p.add_argument("--trace", action="store_true",
                            help="print the toppling or reduction steps")
+        if name == "stabilise":
+            p.add_argument("--force", action="store_true", help="override the grain guard")
     prefs(operation(group, "mvp-outcome", cmd_sandpile, op=lambda a: [
         format_permutation(mvp_outcome_via_sandpile(parse_preference(a.prefs)))]))
 

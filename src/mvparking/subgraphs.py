@@ -13,13 +13,12 @@ no directed two-arc path i -> j -> k (P2-free, necessary), and any subgraph
 whose arcs are pairwise horizontally disjoint, endpoints included, is valid
 (HS, sufficient).  Dynamic programs over the vertices count both families.
 
-Fibres are listed by a walk over the cars in arrival order that parks them
-as it goes and cuts every branch that can no longer end at pi, so each
-branch it completes is a fibre member.  `fibre_size` counts without
-listing, backward from pi: it un-parks the cars n..1, so it only meets
-occupancies that still park to pi.  `outcome_distribution` counts every
-fibre of S_n in one forward pass from the empty street, and `fibre_brute`
-is the independent n^n scan.
+Fibres are listed and counted by one program that runs backward from pi:
+it un-parks the cars n..1, so it only meets occupancies that still park to
+pi and has no dead ends.  `fibre_via_subgraphs` carries the preference
+suffixes through it, `fibre_size` only their number.
+`outcome_distribution` counts every fibre of S_n in one forward pass from
+the empty street, and `fibre_brute` is the independent n^n scan.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 7
 DISTRIBUTION_CAP = 9
+_BYTE = tuple(bytes([b]) for b in range(256))
 
 
 class NotASubgraph(ValueError):
@@ -168,63 +168,62 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _fibre_walk(word):
-    """Every preference whose MVP outcome is `word`, by a DFS in car order.
+def _unpark(word, seed, extend):
+    """The backward program from `word`, carrying one value per occupancy.
 
-    Car c prefers F(c) (no arc) or an inversion source p of F(c) (arc
-    (p, F(c))), and the occupancy moves forward by that one car.  Occupied
-    spots never empty and cars only move right, so a branch is cut when
-    F(c) is held and c prefers another spot, or when a bumped car lands
-    right of its final spot or on a spot whose final car has arrived.  A
-    full branch has n cars, each at or left of its final spot, filling n
-    spots: each is at its final spot, so every leaf is a fibre member.
+    Level c maps each occupancy after cars 1..c have parked (padded bytes,
+    spot -> car, 0 for empty, so n <= 255) to a value for the ways cars
+    c+1..n can finish it to `word`; the full occupancy holds `seed`.  Car c
+    still holds the spot p it preferred, and it came to p in one of two
+    ways: p was free, or it bumped a car b of the occupied run right of p,
+    since b moved to the first free spot.  Un-parking car c undoes either
+    move: its value becomes `extend(value, p)` once, and that goes to each
+    predecessor, values meeting at one predecessor adding up with `+`.
+    Returns the value at the empty street.
+
+    Each backward step is an MVP step read in reverse, and every occupancy
+    of cars 1..c-1 is reachable from the empty street, so every occupancy
+    met lies on a path from the empty street to `word`: nothing is lost and
+    no branch needs a cut.
     """
     n = len(word)
-    target = bytes([0, *word])  # padded, spot -> car, so n <= 255
-    final = [0] * (n + 1)
-    for spot, car in enumerate(word, start=1):
-        final[car] = spot
-    choices = [[p for p in range(1, final[car] + 1) if target[p] >= car] for car in range(n + 1)]
-    spots = bytearray(n + 1)
-    prefs = [0] * n
-    found = []
+    level = {bytes([0, *word, 0]): seed}  # spot n+1 stays free and ends every run
+    for car in range(n, 0, -1):
+        c = _BYTE[car]
+        nxt: dict = {}
+        while level:
+            state, value = level.popitem()
+            p = state.index(car)
+            value = extend(value, p)
+            key = state.replace(c, b"\0")
+            nxt[key] = nxt[key] + value if key in nxt else value
+            for b in state[p + 1:state.find(0, p + 1)]:
+                # each car appears once: empty b's spot, then put b at p
+                key = state.replace(_BYTE[b], b"\0").replace(c, _BYTE[b])
+                nxt[key] = nxt[key] + value if key in nxt else value
+        level = nxt
+    return level[bytes(n + 2)]
 
-    def place(car: int) -> None:
-        home = final[car]
-        for p in (home,) if spots[home] else choices[car]:
-            bumped = spots[p]
-            if bumped:
-                t = spots.find(0, p + 1)
-                if not (0 < t <= final[bumped] and (t == final[bumped] or target[t] > car)):
-                    continue
-                spots[t] = bumped
-            spots[p] = car
-            prefs[car - 1] = p
-            if car < n:
-                place(car + 1)
-            else:
-                found.append(tuple(prefs))
-            spots[p] = bumped
-            if bumped:
-                spots[t] = 0
 
-    place(1)
-    return found
+def _prepend(suffixes, p):
+    head = (p,)
+    return [head + s for s in suffixes]
 
 
 def fibre_via_subgraphs(pi: Iterable[int]) -> list[tuple[int, ...]]:
-    """The MVP outcome fibre of pi, listed through its valid 1-subgraphs.
+    """The MVP outcome fibre of pi: one preference per valid 1-subgraph.
 
-    Lexicographically sorted: the walk varies car 1 slowest and offers each
-    car its spots in ascending order.
+    Lexicographically sorted.  `_unpark` carries, for each occupancy, the
+    preference suffixes that finish it to pi, so every suffix it builds
+    ends in a member, and it builds at most n per member.
     """
-    return _fibre_walk(check_permutation(pi))
+    return sorted(_unpark(check_permutation(pi), [()], _prepend))
 
 
 def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
     """All valid 1-subgraphs of the inversion graph of pi: those its fibre induces."""
     word = check_permutation(pi)
-    return [_induced_arcs(prefs, word) for prefs in _fibre_walk(word)]
+    return [_induced_arcs(prefs, word) for prefs in fibre_via_subgraphs(word)]
 
 
 def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
@@ -247,40 +246,10 @@ def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
 def fibre_size(pi: Iterable[int]) -> int:
     """Size of the MVP outcome fibre of pi, counted without listing it.
 
-    A dynamic program backward from pi.  Level c maps each occupancy after
-    cars 1..c have parked (padded bytes, spot -> car, 0 for empty, so
-    n <= 255) to the number of ways cars c+1..n can finish it to pi.  Car c
-    still holds the spot p it preferred, and it came to p in one of two
-    ways: p was free, or it bumped the car b now at some t in the occupied
-    run right of p, since b moved to the first free spot.  Un-parking car c
-    undoes either move, and the count at the empty street is the fibre size.
-
-    Each backward step is an MVP step read in reverse, and every occupancy
-    of cars 1..c-1 is reachable from the empty street, so every occupancy
-    met lies on a path from the empty street to pi and no count is lost.
-    The cuts of the listing walk (see `_fibre_walk`) need no test here:
-    they hold on every such path.
+    `_unpark` with counts: the full occupancy counts 1, un-parking a car
+    keeps its count, and the count at the empty street is the fibre size.
     """
-    word = check_permutation(pi)
-    n = len(word)
-    level = {bytes([0, *word, 0]): 1}  # spot n+1 stays free and ends every run
-    for car in range(n, 0, -1):
-        nxt: dict[bytes, int] = {}
-        while level:
-            state, ways = level.popitem()
-            spots = bytearray(state)
-            p = spots.index(car)
-            spots[p] = 0
-            key = bytes(spots)
-            nxt[key] = nxt.get(key, 0) + ways
-            for t in range(p + 1, spots.find(0, p + 1)):
-                spots[p] = bumped = spots[t]
-                spots[t] = 0
-                key = bytes(spots)
-                nxt[key] = nxt.get(key, 0) + ways
-                spots[t] = bumped
-        level = nxt
-    return level[bytes(n + 2)]
+    return _unpark(check_permutation(pi), 1, lambda ways, p: ways)
 
 
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:

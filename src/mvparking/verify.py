@@ -54,9 +54,11 @@ from .subgraphs import (
     fibre_size,
     fibre_via_subgraphs,
     format_arcs,
+    hs_count,
     is_hs,
     is_p2_free,
     outcome_distribution,
+    p2_free_count,
     pf_to_subgraph,
     subgraph_to_pf,
     valid_subgraphs,
@@ -265,16 +267,34 @@ def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
             backward, listed = fibre_size(word), len(fibre_via_subgraphs(word))
             if not backward == forward[word] == listed:
                 raise _Counterexample(
-                    checked, "backward DP vs whole-S_n forward DP vs listing walk",
+                    checked, "backward DP vs whole-S_n forward DP vs listed fibre",
                     f"pi={format_permutation(word)}: fibre_size={backward} "
-                    f"outcome_distribution={forward[word]} walk={listed}")
+                    f"outcome_distribution={forward[word]} listed={listed}")
             total += backward
         if total != (n + 1) ** (n - 1):
             raise _Counterexample(checked, "fibre sizes sum to (n+1)^(n-1)",
                                   f"n={n}: sum {total}, want {(n + 1) ** (n - 1)}")
     return checked, (
-        f"fibre_size equals outcome_distribution and the listing walk on every "
+        f"fibre_size equals outcome_distribution and the listed fibre's size on every "
         f"permutation with n<={n_cap}, the sizes summing to (n+1)^(n-1)")
+
+
+def _suite_subgraph_counts(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+    checked = 0
+    for n in range(1, n_cap + 1):
+        for word in permutations(range(1, n + 1)):
+            checked += 1
+            subs = list(enumerate_one_subgraphs(word))
+            filtered = (sum(map(is_p2_free, subs)), sum(map(is_hs, subs)))
+            counted = (p2_free_count(word), hs_count(word))
+            if counted != filtered:
+                raise _Counterexample(
+                    checked, "P2-free and HS dynamic programs vs filtered 1-subgraphs",
+                    f"pi={format_permutation(word)}: p2_free_count={counted[0]} "
+                    f"filtered={filtered[0]}, hs_count={counted[1]} filtered={filtered[1]}")
+    return checked, (
+        f"p2_free_count and hs_count equal the P2-free and HS 1-subgraphs counted "
+        f"one by one, on every permutation with n<={n_cap}")
 
 
 _ABELIAN_CASES = 200  # random recurrent configurations per n
@@ -320,6 +340,7 @@ _SUITES = {
     "thm-6.3": (_suite_thm_6_3, {"n": 8}),
     "abelian": (_suite_abelian, {"n": 8}),
     "fibre-size": (_suite_fibre_size, {"n": 7}),
+    "subgraph-counts": (_suite_subgraph_counts, {"n": 6}),
 }
 
 SUITE_NAMES = list(_SUITES)

@@ -33,7 +33,7 @@ from mvparking.subgraphs import (
     valid_subgraphs,
 )
 
-from helpers import all_preferences, spot_order_walk
+from helpers import all_preferences, mvp_outcome, spot_order_walk
 
 
 def test_enumeration_counts():
@@ -141,7 +141,7 @@ def _check_against_spot_order_oracle(word, with_subgraphs=True):
     assert (p2_free_count(word), hs_count(word)) == (p2_free, hs)
 
 
-def test_car_order_walk_and_dps_match_the_spot_order_oracle():
+def test_backward_lister_and_dps_match_the_spot_order_oracle():
     for n in range(1, 8):
         for word in permutations(range(1, n + 1)):
             _check_against_spot_order_oracle(word, with_subgraphs=n <= 6)
@@ -149,7 +149,7 @@ def test_car_order_walk_and_dps_match_the_spot_order_oracle():
 
 @settings(deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
-def test_car_order_walk_and_dps_match_the_spot_order_oracle_on_random_permutations(word):
+def test_backward_lister_and_dps_match_the_spot_order_oracle_on_random_permutations(word):
     _check_against_spot_order_oracle(tuple(word))
 
 
@@ -163,6 +163,14 @@ def test_fibre_size_matches_the_subgraph_walk_and_partitions_the_parking_functio
             total += sizes[word]
         assert total == (n + 1) ** (n - 1)
         assert outcome_distribution(n) == sizes
+
+
+def test_fibre_via_subgraphs_lists_bipart_7_7():
+    word = bipart(7, 7)
+    fibre = fibre_via_subgraphs(word)
+    assert len(fibre) == 11_337 and fibre == sorted(set(fibre))
+    assert all(mvp_outcome(prefs) == word for prefs in fibre)
+    assert len(valid_subgraphs(word)) == 11_337
 
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.0, 10, 11])

@@ -177,6 +177,23 @@ def test_cli_fibre_guard(capsys, monkeypatch):
     assert code == 0 and out.splitlines() == [",".join(map(str, range(1, 16))), "size 1"]
 
 
+def test_cli_stabilise_guard(capsys, monkeypatch):
+    def topple(*_args, **_kwargs):
+        raise AssertionError("toppled before the grain guard was checked")
+
+    monkeypatch.setattr(cli, "stabilise", topple)
+    code, out, err = run_cli(capsys, "sandpile", "stabilise", "-c", "9999999999,0,0")
+    assert code == 2 and not out and err == (
+        "error: 9999999999 grains times 3 vertices above guard 4000000 for stabilise "
+        "(use --force)\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "STABILISE_GUARD", 10)
+    code, out, err = run_cli(capsys, "sandpile", "stabilise", "-c", "4,0,0")
+    assert code == 2 and not out and "guard 10" in err
+    code, out, _ = run_cli(capsys, "sandpile", "stabilise", "-c", "4,0,0", "--force", "--trace")
+    assert code == 0 and out.splitlines() == ["1,1,1", "toppled: 1"]
+
+
 def test_cli_motzkin(capsys):
     code, out, _ = run_cli(capsys, "motzkin", "phi", "-p", "2,2,1,4,3,6,4,6")
     assert code == 0 and out.strip() == "HUHUDUDD"
@@ -494,12 +511,23 @@ def test_verify_fibre_size_suite(monkeypatch, capsys):
     monkeypatch.setattr(verify, "fibre_size", lambda word: 1)
     result = verify.run_suite("fibre-size", n=3)
     assert (result.passed, result.checked, result.counterexample) == (
-        False, 3, "pi=21: fibre_size=1 outcome_distribution=2 walk=2")
+        False, 3, "pi=21: fibre_size=1 outcome_distribution=2 listed=2")
     monkeypatch.setattr(verify, "fibre_size", lambda word: 0)
     monkeypatch.setattr(verify, "outcome_distribution", lambda n: {(1,): 0})
     monkeypatch.setattr(verify, "fibre_via_subgraphs", lambda word: [])
     result = verify.run_suite("fibre-size", n=1)
     assert (result.passed, result.counterexample) == (False, "n=1: sum 0, want 1")
+
+
+def test_verify_subgraph_counts_suite(monkeypatch, capsys):
+    result = verify.run_suite("subgraph-counts", n=5)
+    assert result.passed and result.checked == 1 + 2 + 6 + 24 + 120
+    monkeypatch.setattr(verify, "hs_count", lambda word: 1)
+    result = verify.run_suite("subgraph-counts", n=3)
+    assert (result.passed, result.checked, result.counterexample) == (
+        False, 3, "pi=21: p2_free_count=2 filtered=2, hs_count=1 filtered=2")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "subgraph-counts", "--n", "3")
+    assert code == 1 and "counterexample: pi=21" in out
 
 
 def test_readme_cli_examples(capsys):
