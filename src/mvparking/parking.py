@@ -133,19 +133,23 @@ def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:
     return tuple(spots[1:])
 
 
-def outcome_mvp(p: Iterable[int]) -> MvpOutcome:
-    """Outcome permutation of the MVP process together with its bump log."""
-    prefs = check_preference(p)
-    log: list[BumpEvent] = []
+def _park(prefs, log=None):
+    """`_mvp` on a checked vector, raising NotAParkingFunction if a car exits."""
     spots = _mvp(prefs, len(prefs), log)
     if spots is None:
         raise NotAParkingFunction(f"{prefs} is not a parking function")
+    return spots
+
+
+def outcome_mvp(p: Iterable[int]) -> MvpOutcome:
+    """Outcome permutation of the MVP process together with its bump log."""
+    log: list[BumpEvent] = []
+    spots = _park(check_preference(p), log)
     return MvpOutcome(tuple(spots[1:]), tuple(log))
 
 
 def displacement_mvp(p: Iterable[int]) -> int:
     """Total displacement: sum over cars of |preference - final spot| (MVP)."""
     prefs = check_preference(p)
-    word = outcome_mvp(prefs).outcome
-    position = {car: spot for spot, car in enumerate(word, start=1)}
-    return sum(abs(prefs[car - 1] - position[car]) for car in position)
+    spots = _park(prefs)
+    return sum(abs(prefs[spots[i] - 1] - i) for i in range(1, len(spots)))

@@ -7,7 +7,9 @@ the system, so repeated toppling always terminates and the stable result
 does not depend on the toppling order.
 
 Recurrence is tested by the burning criterion: add one grain everywhere
-and try to topple each vertex exactly once.  Stable configurations are in
+and try to topple each vertex exactly once.  On K_n a burn adds one grain
+to every unburnt vertex, so burning is decided by counting: the j-th
+smallest grain count must be at least j.  Stable configurations are in
 bijection with preference vectors via the componentwise complement n - c,
 and recurrent ones correspond exactly to parking functions.  The duplicate
 elimination pass implemented by `minrec` mirrors the bumps of the MVP
@@ -18,9 +20,11 @@ instead recovers the classical outcome.
 
 from __future__ import annotations
 
+from math import inf
+from operator import ge
 from typing import Iterable, NamedTuple
 
-from .parking import NotAParkingFunction, check_preference, is_parking_function
+from .parking import _park, check_preference
 
 __all__ = [
     "MinrecStep",
@@ -98,17 +102,7 @@ def format_config(c: Iterable[int]) -> str:
 
 def is_stable(c: Iterable[int]) -> bool:
     cfg = check_config(c)
-    n = len(cfg)
-    return all(x < n for x in cfg)
-
-
-def _fire(cfg: list[int], v: int) -> list[int]:
-    """Topple vertex v (0-based) in place, unchecked, and return `cfg`."""
-    n = len(cfg)
-    for u in range(n):
-        cfg[u] += 1
-    cfg[v] -= n + 1
-    return cfg
+    return max(cfg) < len(cfg)
 
 
 def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
@@ -119,7 +113,7 @@ def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
         raise IndexError(f"vertex {i} outside [1, {n}]")
     if cfg[i - 1] < n:
         raise VertexStable(f"vertex {i} holds {cfg[i - 1]} < {n} grains")
-    return tuple(_fire(list(cfg), i - 1))
+    return tuple(x - n if u == i else x + 1 for u, x in enumerate(cfg, start=1))
 
 
 def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -127,49 +121,48 @@ def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The witness always topples the lowest-indexed unstable vertex; by the
     abelian property the resulting configuration is order-independent.
+    That vertex v keeps firing while it holds n grains and every vertex
+    left of it fewer, so it fires min(c_v // n, n - max_{u<v} c_u) times
+    in one step.  Each toppling adds one grain everywhere, so that is kept
+    as one offset `base` and a step costs no pass over the vertices.
     """
     cfg = list(check_config(c))
     n = len(cfg)
     seq: list[int] = []
+    base, v, top = 0, 0, -inf  # u holds cfg[u] + base; left of v all stable, top = max(cfg[:v])
     while True:
-        v = next((k for k in range(n) if cfg[k] >= n), None)
-        if v is None:
-            return tuple(cfg), tuple(seq)
-        _fire(cfg, v)
-        seq.append(v + 1)
+        t = n - base
+        while v < n and cfg[v] < t:
+            top = max(top, cfg[v])
+            v += 1
+        if v == n:
+            return tuple(x + base for x in cfg), tuple(seq)
+        times = min((cfg[v] + base) // n, t - top)
+        base += times
+        cfg[v] -= times * (n + 1)
+        seq += [v + 1] * times
+        if times == t - top:  # a vertex left of v now holds n grains; the lowest is next
+            v = cfg.index(n - base)
+            top = max(cfg[:v], default=-inf)
+
+
+def _is_recurrent(cfg) -> bool:
+    n = len(cfg)
+    if max(cfg) >= n:
+        raise NotStable(f"{cfg} is not stable")
+    return all(map(ge, sorted(cfg), range(n)))
 
 
 def is_recurrent(c: Iterable[int]) -> bool:
     """Burning criterion: after adding one grain everywhere, every vertex
     topples exactly once.
 
-    Greedy burning (always the lowest-indexed unburnt unstable vertex) is
-    complete on the complete graph, since toppling only adds grains at the
-    other vertices.  When burning succeeds the final configuration equals
-    the input, which is asserted.
+    Decided by counting, not toppling: each burn on K_n adds one grain to
+    every unburnt vertex, so after k burns each holds c + 1 + k.  Burning
+    largest-first succeeds iff the k-th largest count (0-based) has
+    c + 1 + k >= n for every k, that is iff the j-th smallest is >= j.
     """
-    cfg = check_config(c)
-    n = len(cfg)
-    if not all(x < n for x in cfg):
-        raise NotStable(f"{cfg} is not stable")
-    work = [x + 1 for x in cfg]
-    burnt = [False] * n
-    remaining = n
-    progress = True
-    while progress and remaining:
-        progress = False
-        for v in range(n):
-            if not burnt[v] and work[v] >= n:
-                _fire(work, v)
-                burnt[v] = True
-                remaining -= 1
-                progress = True
-                break
-    if remaining:
-        return False
-    if tuple(work) != cfg:
-        raise AssertionError(f"burning did not return to {cfg}")
-    return True
+    return _is_recurrent(check_config(c))
 
 
 def is_min_recurrent(c: Iterable[int]) -> bool:
@@ -178,15 +171,18 @@ def is_min_recurrent(c: Iterable[int]) -> bool:
     return sorted(cfg) == list(range(len(cfg)))
 
 
-def canonical_toppling(c: Iterable[int]) -> tuple[int, ...]:
-    """The unique full toppling order of a minimal recurrent configuration,
-    read as a permutation: position i holds the vertex with n - i grains."""
-    cfg = check_config(c)
+def _canonical_toppling(cfg) -> tuple[int, ...]:
     n = len(cfg)
-    if not is_min_recurrent(cfg):
+    if sorted(cfg) != list(range(n)):
         raise NotMinimalRecurrent(f"{cfg} is not a permutation of 0..{n - 1}")
     where = {v: k + 1 for k, v in enumerate(cfg)}
     return tuple(where[n - i] for i in range(1, n + 1))
+
+
+def canonical_toppling(c: Iterable[int]) -> tuple[int, ...]:
+    """The unique full toppling order of a minimal recurrent configuration,
+    read as a permutation: position i holds the vertex with n - i grains."""
+    return _canonical_toppling(check_config(c))
 
 
 def config_to_preference(c: Iterable[int]) -> tuple[int, ...]:
@@ -205,14 +201,17 @@ def preference_to_config(p: Iterable[int]) -> tuple[int, ...]:
     return tuple(n - x for x in prefs)
 
 
-def _duplicate_elimination(cfg, classical):
-    """Shared pass behind minrec and its classical variant.
+def _minrec(cfg, classical):
+    """Shared pass behind minrec and its classical variant, on a checked
+    configuration; raises NotRecurrent first if it is not recurrent.
 
     Left to right, `where` maps each value seen so far to its index, and
     these values stay distinct.  When index j repeats a value, one of the
     pair drops to the largest smaller value not held among indices 1..j:
     the earlier index for the MVP variant, j itself for the classical one.
     """
+    if not _is_recurrent(cfg):
+        raise NotRecurrent(f"{cfg} is not recurrent")
     values = list(cfg)
     steps: list[MinrecStep] = []
     where: dict[int, int] = {}
@@ -235,34 +234,28 @@ def _duplicate_elimination(cfg, classical):
 
 def minrec_trace(c: Iterable[int]) -> tuple[tuple[int, ...], list[MinrecStep]]:
     """minrec plus the per-iteration decrement log."""
-    cfg = check_config(c)
-    if not is_recurrent(cfg):
-        raise NotRecurrent(f"{cfg} is not recurrent")
-    return _duplicate_elimination(cfg, classical=False)
+    return _minrec(check_config(c), classical=False)
 
 
 def minrec(c: Iterable[int]) -> tuple[int, ...]:
     """Reduce a recurrent configuration to the minimal recurrent one that
     carries the same MVP outcome; the result is a permutation of 0..n-1."""
-    return minrec_trace(c)[0]
+    return _minrec(check_config(c), classical=False)[0]
 
 
 def minrec_classical_trace(c: Iterable[int]) -> tuple[tuple[int, ...], list[MinrecStep]]:
-    cfg = check_config(c)
-    if not is_recurrent(cfg):
-        raise NotRecurrent(f"{cfg} is not recurrent")
-    return _duplicate_elimination(cfg, classical=True)
+    return _minrec(check_config(c), classical=True)
 
 
 def minrec_classical(c: Iterable[int]) -> tuple[int, ...]:
     """Variant decrementing the later duplicate; carries the classical outcome."""
-    return minrec_classical_trace(c)[0]
+    return _minrec(check_config(c), classical=True)[0]
 
 
 def mvp_outcome_via_sandpile(p: Iterable[int]) -> tuple[int, ...]:
     """MVP outcome computed on the sandpile side: complement, reduce to a
     minimal recurrent configuration, read off its canonical toppling."""
     prefs = check_preference(p)
-    if not is_parking_function(prefs):
-        raise NotAParkingFunction(f"{prefs} is not a parking function")
-    return canonical_toppling(minrec(preference_to_config(prefs)))
+    _park(prefs)
+    n = len(prefs)
+    return _canonical_toppling(_minrec(tuple(n - x for x in prefs), classical=False)[0])

@@ -27,7 +27,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .parking import _mvp, check_preference, outcome_mvp
+from .parking import _mvp, _park, check_preference
 from .perms import check_permutation, left_inversion_lists
 
 __all__ = [
@@ -81,7 +81,11 @@ def _check_arc_pairs(arcs) -> frozenset[tuple[int, int]]:
 
 def check_one_subgraph(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> frozenset[tuple[int, int]]:
     """Validate `arcs` as a 1-subgraph of the inversion graph of pi."""
-    word = check_permutation(pi)
+    return _check_one_subgraph(arcs, check_permutation(pi))
+
+
+def _check_one_subgraph(arcs, word) -> frozenset[tuple[int, int]]:
+    """`check_one_subgraph` against a checked permutation: every arc is still checked."""
     n = len(word)
     out = _check_arc_pairs(arcs)
     targets = set()
@@ -120,20 +124,22 @@ def _induced_arcs(prefs, word) -> frozenset[tuple[int, int]]:
 def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
     """Subgraph induced by a parking function on its own MVP outcome."""
     prefs = check_preference(p)
-    return _induced_arcs(prefs, outcome_mvp(prefs).outcome)
+    return _induced_arcs(prefs, _park(prefs)[1:])
+
+
+def _induced_pf(arcs, word) -> tuple[int, ...]:
+    """`subgraph_to_pf` for a checked permutation."""
+    left = {i: j for j, i in _check_one_subgraph(arcs, word)}
+    prefs = [0] * len(word)
+    for i, car in enumerate(word, start=1):
+        prefs[car - 1] = left.get(i, i)
+    return tuple(prefs)
 
 
 def subgraph_to_pf(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> tuple[int, ...]:
     """Preference induced by a 1-subgraph: the car ending in spot i prefers
     the source of its left-arc, or i itself when there is none."""
-    word = check_permutation(pi)
-    sub = check_one_subgraph(arcs, word)
-    n = len(word)
-    prefs = [0] * n
-    left = {i: j for j, i in sub}
-    for i in range(1, n + 1):
-        prefs[word[i - 1] - 1] = left.get(i, i)
-    return tuple(prefs)
+    return _induced_pf(arcs, check_permutation(pi))
 
 
 def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
@@ -143,8 +149,7 @@ def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
     invalid rather than raising.
     """
     word = check_permutation(pi)
-    prefs = subgraph_to_pf(arcs, word)
-    return _mvp(prefs, len(word)) == [0, *word]
+    return _mvp(_induced_pf(arcs, word), len(word)) == [0, *word]
 
 
 def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:

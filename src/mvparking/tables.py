@@ -89,6 +89,8 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
     """Fibre sizes for the complete bipartite permutations, rows by n.
 
     The n = 2 row is checked against thm-4.1: m + 1 + floor((m+1)^2 / 2).
+    The m = 1 column and the n = 1 row avoid 321 and 3412, so thm-2.8's
+    product formula gives 2^n and m + 1 there.
     """
     t0 = time.perf_counter()
     rows = [[n, *(fibre_size(bipart(m, n)) for m in range(1, max_m + 1))]
@@ -96,6 +98,10 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
     failures = [f"FAIL bipartite m={m}: n=2 fibre is {size}, not m+1+floor((m+1)^2/2) = {want}"
                 for m, size in enumerate(rows[1][1:] if max_n >= 2 else (), start=1)
                 if size != (want := m + 1 + (m + 1) ** 2 // 2)]
+    cells = [(1, n, 2 ** n, "2^n") for n in range(1, max_n + 1)]
+    cells += [(m, 1, m + 1, "m+1") for m in range(2, max_m + 1)]
+    failures += [f"FAIL bipartite m={m} n={n}: fibre is {rows[n - 1][m]}, not thm-2.8's {rule} = {want}"
+                 for m, n, want, rule in cells if rows[n - 1][m] != want]
     return ReportTable(
         name="bipartite",
         headers=["n"] + [f"m{m}" for m in range(1, max_m + 1)],

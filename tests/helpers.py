@@ -125,3 +125,16 @@ def spot_order_walk(word) -> tuple[list, set, int, int]:
 
     walk(1, 0)
     return sorted(fibre), valid, counts[0], counts[1]
+
+
+def stabilise_one_at_a_time(c) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(stable configuration, witness) on K_n by toppling the lowest-indexed
+    unstable vertex once, then rescanning from vertex 1."""
+    cfg = list(c)
+    n = len(cfg)
+    seq = []
+    while (v := next((u for u in range(n) if cfg[u] >= n), None)) is not None:
+        cfg = [x + 1 for x in cfg]
+        cfg[v] -= n + 1
+        seq.append(v + 1)
+    return tuple(cfg), tuple(seq)

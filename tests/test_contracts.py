@@ -1,0 +1,130 @@
+"""Cross-module contracts of the per-vector API: each public call validates
+its input exactly once, and a bad input raises the same exception type and
+message whichever public function receives it."""
+
+from __future__ import annotations
+
+import pytest
+
+from mvparking import parking, perms, sandpile, subgraphs
+from mvparking.parking import NotAParkingFunction, displacement_mvp
+from mvparking.sandpile import (
+    NotMinimalRecurrent,
+    NotRecurrent,
+    NotStable,
+    canonical_toppling,
+    is_recurrent,
+    minrec,
+    minrec_classical,
+    minrec_classical_trace,
+    minrec_trace,
+    mvp_outcome_via_sandpile,
+)
+from mvparking.subgraphs import (
+    NotASubgraph,
+    check_one_subgraph,
+    is_valid,
+    pf_to_subgraph,
+    subgraph_to_pf,
+)
+
+VALIDATORS = [(parking, "check_preference"), (subgraphs, "check_preference"),
+              (subgraphs, "check_permutation"), (perms, "check_permutation"),
+              (sandpile, "check_preference"), (sandpile, "check_config")]
+
+PREF = (3, 1, 1, 2)
+ARCS = frozenset({(1, 4)})  # pf_to_subgraph(PREF), on its outcome 3412
+CONFIG = (11, 9, 5, 8, 1, 9, 4, 8, 4, 9, 10, 0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (mvp_outcome_via_sandpile, (PREF,)),
+    (displacement_mvp, (PREF,)),
+    (pf_to_subgraph, (PREF,)),
+    (subgraph_to_pf, (ARCS, (3, 4, 1, 2))),
+    (is_valid, (ARCS, (3, 4, 1, 2))),
+    (minrec, (CONFIG,)),
+    (minrec_trace, (CONFIG,)),
+    (minrec_classical, (CONFIG,)),
+    (minrec_classical_trace, (CONFIG,)),
+    (canonical_toppling, ((2, 4, 3, 0, 1),)),
+    (is_recurrent, (CONFIG,)),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_each_public_call_validates_its_input_once(monkeypatch, fn, args):
+    calls = []
+    for module, name in VALIDATORS:
+        def counted(x, _check=getattr(module, name), _name=f"{module.__name__}.{name}"):
+            calls.append(_name)
+            return _check(x)
+        monkeypatch.setattr(module, name, counted)
+    fn(*args)
+    assert len(calls) == 1, calls
+
+
+def test_arcs_fixture_is_the_induced_subgraph():
+    assert pf_to_subgraph(PREF) == ARCS and subgraph_to_pf(ARCS, (3, 4, 1, 2)) == PREF
+
+
+PREFERENCE_CALLS = (mvp_outcome_via_sandpile, displacement_mvp, pf_to_subgraph)
+BAD_PREFERENCES = [  # (label, preference, exception, message)
+    ("empty", (), ValueError, "preference vector must be non-empty"),
+    ("out of range", (1, 4, 1), ValueError, "preference entry 4 outside [1, 3]"),
+    ("bool entry", (1, True), ValueError, "preference entry True outside [1, 2]"),
+    ("not parking", (3, 3, 3), NotAParkingFunction, "(3, 3, 3) is not a parking function"),
+]
+
+MINREC_CALLS = (minrec, minrec_classical, minrec_trace, minrec_classical_trace)
+BAD_CONFIGS = [  # (label, configuration, then (exception, message) for minrec and its
+    #               variants, canonical_toppling and is_recurrent; None where it returns)
+    ("empty", (), *[(ValueError, "configuration must be non-empty")] * 3),
+    ("out of range", (1, -1), *[(ValueError, "grain count -1 is not a non-negative integer")] * 3),
+    ("bool entry", (0, True), *[(ValueError, "grain count True is not a non-negative integer")] * 3),
+    ("unstable", (5, 0, 0), (NotStable, "(5, 0, 0) is not stable"),
+     (NotMinimalRecurrent, "(5, 0, 0) is not a permutation of 0..2"),
+     (NotStable, "(5, 0, 0) is not stable")),
+    ("not recurrent", (0, 0, 2), (NotRecurrent, "(0, 0, 2) is not recurrent"),
+     (NotMinimalRecurrent, "(0, 0, 2) is not a permutation of 0..2"), None),
+    ("not minimal recurrent", (2, 1, 1), None,
+     (NotMinimalRecurrent, "(2, 1, 1) is not a permutation of 0..2"), None),
+]
+
+SUBGRAPH_CALLS = (subgraph_to_pf, is_valid, check_one_subgraph)
+BAD_SUBGRAPHS = [  # (label, arcs, permutation, exception, message)
+    ("empty", (), (), ValueError, "permutation must be non-empty"),
+    ("permutation out of range", [(1, 2)], (1, 3), ValueError,
+     "(1, 3) is not a rearrangement of 1..2"),
+    ("arc out of range", [(1, 5)], (2, 1), NotASubgraph, "arc (1,5) is not an inversion of (2, 1)"),
+    ("bool entry", [(1, True)], (2, 1), ValueError,
+     "malformed arc (1, True): need integers 1 <= j < i"),
+    ("arc not an inversion", [(1, 2)], (1, 2), NotASubgraph,
+     "arc (1,2) is not an inversion of (1, 2)"),
+    ("two left-arcs on one vertex", [(1, 3), (2, 3)], (3, 2, 1), NotASubgraph,
+     "vertex 3 has two incident left-arcs"),
+]
+
+
+def _bad_calls():
+    for label, prefs, exc, message in BAD_PREFERENCES:
+        for fn in PREFERENCE_CALLS:
+            yield pytest.param(fn, (prefs,), exc, message, id=f"{fn.__name__}-{label}")
+    for label, cfg, *errors in BAD_CONFIGS:
+        for fns, error in zip((MINREC_CALLS, (canonical_toppling,), (is_recurrent,)), errors):
+            for fn in fns if error else ():
+                yield pytest.param(fn, (cfg,), *error, id=f"{fn.__name__}-{label}")
+    for label, arcs, word, exc, message in BAD_SUBGRAPHS:
+        for fn in SUBGRAPH_CALLS:
+            yield pytest.param(fn, (arcs, word), exc, message, id=f"{fn.__name__}-{label}")
+
+
+@pytest.mark.parametrize("fn, args, exc, message", _bad_calls())
+def test_bad_input_raises_the_pinned_error(fn, args, exc, message):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_bad_inputs_that_are_answers_not_errors():
+    assert is_recurrent((0, 0, 2)) is False
+    assert is_recurrent((2, 1, 1)) is True
+    assert minrec((2, 1, 1)) == (2, 0, 1)
+    assert minrec_classical((2, 1, 1)) == (2, 1, 0)

@@ -4,6 +4,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mvparking.parking import is_parking_function, outcome_classical, outcome_mvp
 from mvparking.sandpile import (
@@ -27,6 +28,8 @@ from mvparking.sandpile import (
     stabilise,
     topple,
 )
+
+from helpers import stabilise_one_at_a_time
 
 BIG = (11, 9, 5, 8, 1, 9, 4, 8, 4, 9, 10, 0)
 
@@ -70,6 +73,17 @@ def test_stabilise():
     assert sum(stable) == 27 - len(seq)
 
 
+def test_stabilise_matches_one_toppling_at_a_time_exhaustive():
+    for n in range(1, 5):
+        for c in product(range(2 * n + 1), repeat=n):
+            assert stabilise(c) == stabilise_one_at_a_time(c)
+
+
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=12))
+def test_stabilise_matches_one_toppling_at_a_time(c):
+    assert stabilise(c) == stabilise_one_at_a_time(c)
+
+
 def test_is_recurrent():
     assert is_recurrent((2, 4, 3, 0, 1))
     assert not is_recurrent((0, 0))
@@ -83,6 +97,22 @@ def test_greedy_burning_matches_exhaustive_order_search():
     for n in range(1, 5):
         for c in product(range(n), repeat=n):
             assert is_recurrent(c) == burning_order_exists(c)
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)))
+def test_is_recurrent_agrees_with_burning_by_topple(c):
+    # add one grain everywhere, then topple the lowest unburnt unstable
+    # vertex until none is left; a full burn must return to c itself
+    n = len(c)
+    cfg, burnt = tuple(x + 1 for x in c), set()
+    while (v := next((v for v in range(1, n + 1) if v not in burnt and cfg[v - 1] >= n),
+                     None)) is not None:
+        cfg = topple(cfg, v)
+        burnt.add(v)
+    assert is_recurrent(c) == (len(burnt) == n)
+    if len(burnt) == n:
+        assert cfg == c
 
 
 def test_complement_maps_between_configs_and_preferences():

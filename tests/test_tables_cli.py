@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvparking import cli, subgraphs, tables, verify
+from mvparking.perms import bipart
 
 
 def test_report_table_arity_checked():
@@ -575,6 +576,20 @@ def test_cli_bipartite_identity_check_fails_on_a_wrong_count(monkeypatch, capsys
     code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "2",
                              "--format", "csv")
     assert code == 1 and out == "n,m1,m2\n1,4,4\n2,4,4\n"
-    assert err == "FAIL bipartite m=2: n=2 fibre is 4, not m+1+floor((m+1)^2/2) = 7\n"
+    assert err == ("FAIL bipartite m=2: n=2 fibre is 4, not m+1+floor((m+1)^2/2) = 7\n"
+                   "FAIL bipartite m=1 n=1: fibre is 4, not thm-2.8's 2^n = 2\n"
+                   "FAIL bipartite m=2 n=1: fibre is 4, not thm-2.8's m+1 = 3\n")
     code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "1")
-    assert code == 0 and not err
+    assert code == 1 and "n=2" not in err
+
+
+@pytest.mark.parametrize("m, n, line", [
+    (1, 3, "FAIL bipartite m=1 n=3: fibre is 9, not thm-2.8's 2^n = 8\n"),
+    (3, 1, "FAIL bipartite m=3 n=1: fibre is 5, not thm-2.8's m+1 = 4\n"),
+])
+def test_cli_bipartite_product_formula_check_fails_on_a_wrong_count(monkeypatch, capsys, m, n, line):
+    fibre_size = tables.fibre_size
+    monkeypatch.setattr(tables, "fibre_size", lambda word: fibre_size(word) + (word == bipart(m, n)))
+    code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "3", "--max-n", "3",
+                             "--format", "csv")
+    assert code == 1 and err == line and out.startswith("n,m1,m2,m3\n")
