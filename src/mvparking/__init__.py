@@ -5,93 +5,18 @@ between MVP outcome fibres and valid 1-subgraphs of inversion graphs,
 Motzkin-path and non-crossing matching correspondences for the decreasing
 fibre, the sandpile reading of both outcome maps on the complete graph, and
 a reporting CLI that reproduces the desk-scale enumeration tables.
+
+The package namespace re-exports each library module's `__all__`, so a
+public name is declared once, in its module.
 """
 
-from .parking import (
-    BumpEvent,
-    MvpOutcome,
-    NotAParkingFunction,
-    check_preference,
-    displacement_mvp,
-    format_preference,
-    is_parking_function,
-    outcome_classical,
-    outcome_mvp,
-    parse_preference,
-)
-from .perms import (
-    bipart,
-    check_permutation,
-    contains_pattern,
-    dec,
-    edges_acyclic,
-    format_permutation,
-    inversion_graph_acyclic,
-    inversions,
-    left_inversions,
-    parse_permutation,
-    split_left,
-    split_right,
-)
-from .subgraphs import (
-    BRUTE_FORCE_CAP,
-    FibreBounds,
-    NotASubgraph,
-    SizeCapExceeded,
-    bounds,
-    count_one_subgraphs,
-    enumerate_one_subgraphs,
-    fibre_brute,
-    fibre_via_subgraphs,
-    format_arcs,
-    hs_count,
-    is_hs,
-    is_p2_free,
-    is_valid,
-    p2_free_count,
-    parse_arcs,
-    pf_to_subgraph,
-    subgraph_to_pf,
-    valid_subgraphs,
-)
-from .motzkin import (
-    NotAMotzkinParkingFunction,
-    NotAMotzkinPath,
-    NotANonCrossingMatching,
-    dec_to_split_subgraph,
-    decreasing_fibre,
-    decreasing_representative,
-    is_motzkin_path,
-    is_motzkin_pf,
-    is_noncrossing_matching,
-    noncross_to_motzkin,
-    noncrossing_matchings,
-    path_to_preference,
-    preference_path,
-    prime_decomposition,
-)
-from .sandpile import (
-    MinrecStep,
-    NotMinimalRecurrent,
-    NotRecurrent,
-    NotStable,
-    VertexStable,
-    canonical_toppling,
-    check_config,
-    config_to_preference,
-    format_config,
-    is_min_recurrent,
-    is_recurrent,
-    is_stable,
-    minrec,
-    minrec_classical,
-    minrec_classical_trace,
-    minrec_trace,
-    mvp_outcome_via_sandpile,
-    parse_config,
-    preference_to_config,
-    stabilise,
-    topple,
-)
+from . import motzkin, parking, perms, sandpile, subgraphs
+from .parking import *
+from .perms import *
+from .subgraphs import *
+from .motzkin import *
+from .sandpile import *
+
+__all__ = [*parking.__all__, *perms.__all__, *subgraphs.__all__, *motzkin.__all__, *sandpile.__all__]
 
 __version__ = "0.1.0"

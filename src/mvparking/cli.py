@@ -44,13 +44,14 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 13), "conjecture": (3, 8)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
-# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.4 s and
-# bipart(8,8) 0.3 s, but the output grows with the fibre: dec(16) takes 3 s and 460 MiB.
+# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes about 1 s
+# end to end and bipart(8,8) 0.6 s, but the output grows with the fibre: dec(16) takes 7-10 s
+# and 350 MiB (415 MiB with --format json).
 FIBRE_GUARD = 14
-# Largest grain total times vertex count for `sandpile stabilise` without --force.  A toppling
-# removes one grain and costs a pass over the vertices, and the witness keeps one entry per
-# toppling: 1.3M grains on 3 vertices take about 1 s, 1M grains on 500 vertices 13 s.
-STABILISE_GUARD = 4_000_000
+# Largest grain total for `sandpile stabilise` without --force.  A toppling removes one grain,
+# so the grains bound the topplings and the witness whatever the vertex count; the worst case
+# measured, 300,000 grains piled on one of 100 vertices, takes 1.2 s end to end.
+STABILISE_GUARD = 300_000
 
 
 class _Output(NamedTuple):
@@ -100,7 +101,7 @@ def cmd_fibre(args) -> tuple[int, _Output]:
     table = tables.ReportTable(
         name=f"fibre-{perm}",
         headers=[f"p{k}" for k in range(1, len(word) + 1)],
-        rows=[list(p) for p in fibre],
+        rows=fibre,
         metadata={"permutation": perm, "size": len(fibre)},
     )
     return status, _Output("\n".join(lines), data, table)
@@ -149,10 +150,9 @@ def cmd_sandpile(args) -> tuple[int, _Output]:
 
 def _stabilise(args) -> list[str]:
     config = parse_config(args.config)
-    grains, n = sum(config), len(config)
-    if grains * n > STABILISE_GUARD and not args.force:
-        raise ValueError(f"{grains} grains times {n} vertices above guard {STABILISE_GUARD} "
-                         "for stabilise (use --force)")
+    grains = sum(config)
+    if grains > STABILISE_GUARD and not args.force:
+        raise ValueError(f"{grains} grains above guard {STABILISE_GUARD} for stabilise (use --force)")
     stable, seq = stabilise(config)
     lines = [format_config(stable)]
     if args.trace:

@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .parking import _mvp, check_preference, is_parking_function, NotAParkingFunction
+from .parking import _mvp, _park, check_preference
 from .perms import dec
-from .subgraphs import subgraph_to_pf
+from .subgraphs import _induced_pf
 
 __all__ = [
     "NotAMotzkinParkingFunction",
@@ -78,7 +78,10 @@ def check_path(path: str) -> str:
 
 def preference_path(p: Iterable[int]) -> str:
     """Spot-popularity path: U/H/D per spot preferred by >=2 / 1 / 0 cars."""
-    prefs = check_preference(p)
+    return _popularity_path(check_preference(p))
+
+
+def _popularity_path(prefs) -> str:
     count = Counter(prefs)
     steps = []
     for j in range(1, len(prefs) + 1):
@@ -127,9 +130,11 @@ def path_to_preference(path: str) -> tuple[int, ...]:
 
 def is_motzkin_pf(p: Iterable[int]) -> bool:
     """True iff the parking function has every spot preferred at most twice."""
-    prefs = check_preference(p)
-    if not is_parking_function(prefs):
-        raise NotAParkingFunction(f"{prefs} is not a parking function")
+    return _is_motzkin_pf(check_preference(p))
+
+
+def _is_motzkin_pf(prefs) -> bool:
+    _park(prefs)  # raises NotAParkingFunction
     return max(Counter(prefs).values()) <= 2
 
 
@@ -145,12 +150,12 @@ def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
     internal failure.
     """
     prefs = check_preference(p)
-    if not is_motzkin_pf(prefs):
+    if not _is_motzkin_pf(prefs):
         raise NotAMotzkinParkingFunction(f"some spot preferred >2 times in {prefs}")
-    n = len(prefs)
-    rep = subgraph_to_pf(_path_matching(preference_path(prefs)), dec(n))
-    if _mvp(rep, n) != [0, *dec(n)]:
-        raise AssertionError(f"{rep}, built from {prefs}, does not park to {dec(n)}")
+    word = dec(len(prefs))
+    rep = _induced_pf(_path_matching(_popularity_path(prefs)), word)
+    if _mvp(rep, len(word)) != [0, *word]:
+        raise AssertionError(f"{rep}, built from {prefs}, does not park to {word}")
     return rep
 
 
@@ -246,9 +251,7 @@ def decreasing_fibre(n: int) -> list[tuple[int, ...]]:
     brute-force enumerations.
     """
     word = dec(n)
-    fibre = [subgraph_to_pf(delta, word) for delta in noncrossing_matchings(n)]
-    fibre.sort()
-    return fibre
+    return sorted(_induced_pf(delta, word) for delta in noncrossing_matchings(n))
 
 
 def dec_to_split_subgraph(arcs: Iterable[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:

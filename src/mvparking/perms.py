@@ -29,12 +29,13 @@ __all__ = [
 
 
 def check_permutation(w: Iterable[int]) -> tuple[int, ...]:
-    """Validate one-line notation: a rearrangement of 1..n."""
+    """Validate one-line notation: a rearrangement of 1..n, every entry an int
+    (not a bool or float that equals one)."""
     word = tuple(w)
     n = len(word)
     if n == 0:
         raise ValueError("permutation must be non-empty")
-    if sorted(word) != list(range(1, n + 1)):
+    if {*map(type, word)} != {int} or sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"{word} is not a rearrangement of 1..{n}")
     return word
 
@@ -94,9 +95,14 @@ def contains_pattern(pi: Iterable[int], tau: Iterable[int]) -> bool:
     """
     word = check_permutation(pi)
     pat = check_permutation(tau)
+    if len(pat) > len(word):
+        raise ValueError(f"pattern of length {len(pat)} longer than host of length {len(word)}")
+    return _contains(word, pat)
+
+
+def _contains(word, pat) -> bool:
+    """`contains_pattern` on checked permutations; False when the pattern is longer."""
     k = len(pat)
-    if k > len(word):
-        raise ValueError(f"pattern of length {k} longer than host of length {len(word)}")
     for positions in combinations(range(len(word)), k):
         vals = [word[p] for p in positions]
         if all((vals[a] < vals[b]) == (pat[a] < pat[b]) for a in range(k) for b in range(a + 1, k)):
@@ -107,11 +113,7 @@ def contains_pattern(pi: Iterable[int], tau: Iterable[int]) -> bool:
 def inversion_graph_acyclic(pi: Iterable[int]) -> bool:
     """True iff the inversion graph has no cycle, i.e. pi avoids 321 and 3412."""
     word = check_permutation(pi)
-    if len(word) < 3:
-        return True
-    if contains_pattern(word, (3, 2, 1)):
-        return False
-    return len(word) < 4 or not contains_pattern(word, (3, 4, 1, 2))
+    return not (_contains(word, (3, 2, 1)) or _contains(word, (3, 4, 1, 2)))
 
 
 def edges_acyclic(edges: Iterable[tuple[int, int]], n: int) -> bool:

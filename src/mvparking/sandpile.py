@@ -20,7 +20,7 @@ instead recovers the classical outcome.
 
 from __future__ import annotations
 
-from math import inf
+from heapq import heapify, heappop, heappush
 from operator import ge
 from typing import Iterable, NamedTuple
 
@@ -121,29 +121,40 @@ def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The witness always topples the lowest-indexed unstable vertex; by the
     abelian property the resulting configuration is order-independent.
-    That vertex v keeps firing while it holds n grains and every vertex
-    left of it fewer, so it fires min(c_v // n, n - max_{u<v} c_u) times
-    in one step.  Each toppling adds one grain everywhere, so that is kept
-    as one offset `base` and a step costs no pass over the vertices.
+    Each toppling adds one grain everywhere, so that is kept as one offset
+    `base`, and only a toppling vertex changes its own count.  One heap
+    holds the unstable vertices by index, another the stable ones by count.
+    The lowest unstable vertex fires in one step until it turns stable or
+    the fullest stable vertex reaches n grains, so every step moves a vertex
+    between the heaps.  Turning stable takes at least one toppling, and
+    only a vertex that started stable or turned stable can turn unstable,
+    so there are at most 2 * topplings + n steps of O(log n) each.  Each
+    toppling removes one grain from the system, so the topplings number at
+    most the grain total.
     """
     cfg = list(check_config(c))
     n = len(cfg)
     seq: list[int] = []
-    base, v, top = 0, 0, -inf  # u holds cfg[u] + base; left of v all stable, top = max(cfg[:v])
-    while True:
-        t = n - base
-        while v < n and cfg[v] < t:
-            top = max(top, cfg[v])
-            v += 1
-        if v == n:
-            return tuple(x + base for x in cfg), tuple(seq)
-        times = min((cfg[v] + base) // n, t - top)
+    base = 0  # vertex u holds cfg[u] + base grains
+    unstable = [u for u in range(n) if cfg[u] >= n]  # ascending, so already a heap
+    stable = [(-x, u) for u, x in enumerate(cfg) if x < n]
+    heapify(stable)
+    while unstable:
+        v = unstable[0]
+        t = n - base  # u is unstable iff cfg[u] >= t
+        times = (cfg[v] + base) // n
+        if stable:
+            times = min(times, t + stable[0][0])
         base += times
+        t -= times
         cfg[v] -= times * (n + 1)
         seq += [v + 1] * times
-        if times == t - top:  # a vertex left of v now holds n grains; the lowest is next
-            v = cfg.index(n - base)
-            top = max(cfg[:v], default=-inf)
+        if cfg[v] < t:
+            heappop(unstable)
+            heappush(stable, (-cfg[v], v))
+        while stable and -stable[0][0] >= t:
+            heappush(unstable, heappop(stable)[1])
+    return tuple(x + base for x in cfg), tuple(seq)
 
 
 def _is_recurrent(cfg) -> bool:

@@ -73,7 +73,7 @@ def _check_arc_pairs(arcs) -> frozenset[tuple[int, int]]:
     out = set()
     for arc in arcs:
         j, i = arc
-        if not (isinstance(j, int) and isinstance(i, int) and 1 <= j < i):
+        if type(j) is not int or type(i) is not int or not 1 <= j < i:  # refuses bools
             raise ValueError(f"malformed arc {arc!r}: need integers 1 <= j < i")
         out.add((j, i))
     return frozenset(out)
@@ -222,24 +222,28 @@ def fibre_via_subgraphs(pi: Iterable[int]) -> list[tuple[int, ...]]:
     preference suffixes that finish it to pi, so every suffix it builds
     ends in a member, and it builds at most n per member.
     """
-    return sorted(_unpark(check_permutation(pi), [()], _prepend))
+    return _fibre(check_permutation(pi))
+
+
+def _fibre(word) -> list[tuple[int, ...]]:
+    return sorted(_unpark(word, [()], _prepend))
 
 
 def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
     """All valid 1-subgraphs of the inversion graph of pi: those its fibre induces."""
     word = check_permutation(pi)
-    return [_induced_arcs(prefs, word) for prefs in fibre_via_subgraphs(word)]
+    return [_induced_arcs(prefs, word) for prefs in _fibre(word)]
 
 
-def fibre_brute(pi: Iterable[int], cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
+def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
     """Independent oracle: scan all n^n preferences and keep the fibre.
 
-    Lexicographically sorted; refuses n above `cap`.
+    Lexicographically sorted; refuses n above `BRUTE_FORCE_CAP`.
     """
     word = check_permutation(pi)
     n = len(word)
-    if n > cap:
-        raise SizeCapExceeded(f"n={n} above brute-force cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeCapExceeded(f"n={n} above brute-force cap {BRUTE_FORCE_CAP}")
     target = [0, *word]
     return [
         prefs
@@ -254,7 +258,11 @@ def fibre_size(pi: Iterable[int]) -> int:
     `_unpark` with counts: the full occupancy counts 1, un-parking a car
     keeps its count, and the count at the empty street is the fibre size.
     """
-    return _unpark(check_permutation(pi), 1, lambda ways, p: ways)
+    return _fibre_size(check_permutation(pi))
+
+
+def _fibre_size(word) -> int:
+    return _unpark(word, 1, lambda ways, p: ways)
 
 
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
@@ -309,10 +317,12 @@ def p2_free_count(pi: Iterable[int]) -> int:
     linv[i] and, being a target, can never be a source.  No two states merge,
     so a level holds at most 2^(i-1) of them, as many as on dec(n).
     """
-    word = check_permutation(pi)
-    linv = left_inversion_lists(word)
+    return _p2_free_count(left_inversion_lists(check_permutation(pi)))
+
+
+def _p2_free_count(linv) -> int:
     level = {0: 1}
-    for i in range(1, len(word) + 1):
+    for i in range(1, len(linv)):
         sources = sum(1 << j for j in linv[i])
         nxt: dict[int, int] = {}
         for mask, ways in level.items():
@@ -331,10 +341,12 @@ def hs_count(pi: Iterable[int]) -> int:
     or the target of one arc (j, i) whose span [j, i] no other arc touches,
     so f[i] = f[i-1] + sum over j in linv[i] of f[j-1].
     """
-    word = check_permutation(pi)
-    linv = left_inversion_lists(word)
+    return _hs_count(left_inversion_lists(check_permutation(pi)))
+
+
+def _hs_count(linv) -> int:
     f = [1]
-    for i in range(1, len(word) + 1):
+    for i in range(1, len(linv)):
         f.append(f[i - 1] + sum(f[j - 1] for j in linv[i]))
     return f[-1]
 
@@ -354,13 +366,13 @@ def bounds(pi: Iterable[int]) -> FibreBounds:
     dynamic programs, `fibre_size`, and closed forms.
     """
     word = check_permutation(pi)
-    n_inv = sum(len(s) for s in left_inversion_lists(word)[1:])
+    linv = left_inversion_lists(word)
     return FibreBounds(
-        product_upper=count_one_subgraphs(word),
-        p2free_count=p2_free_count(word),
-        fibre_size=fibre_size(word),
-        hs_count=hs_count(word),
-        single_arc_lower=1 + n_inv,
+        product_upper=prod(1 + len(s) for s in linv[1:]),
+        p2free_count=_p2_free_count(linv),
+        fibre_size=_fibre_size(word),
+        hs_count=_hs_count(linv),
+        single_arc_lower=1 + sum(map(len, linv)),
     )
 
 

@@ -1,13 +1,17 @@
-"""Cross-module contracts of the per-vector API: each public call validates
-its input exactly once, and a bad input raises the same exception type and
-message whichever public function receives it."""
+"""Cross-module contracts: the package namespace re-exports each library
+module's `__all__`, each public call validates its input exactly once, and a
+bad input raises the same exception type and message whichever public
+function receives it."""
 
 from __future__ import annotations
 
 import pytest
 
-from mvparking import parking, perms, sandpile, subgraphs
+import mvparking
+from mvparking import motzkin, parking, perms, sandpile, subgraphs
+from mvparking.motzkin import decreasing_fibre, decreasing_representative, is_motzkin_pf
 from mvparking.parking import NotAParkingFunction, displacement_mvp
+from mvparking.perms import dec, inversion_graph_acyclic
 from mvparking.sandpile import (
     NotMinimalRecurrent,
     NotRecurrent,
@@ -22,19 +26,44 @@ from mvparking.sandpile import (
 )
 from mvparking.subgraphs import (
     NotASubgraph,
+    bounds,
     check_one_subgraph,
     is_valid,
     pf_to_subgraph,
     subgraph_to_pf,
+    valid_subgraphs,
 )
 
+LIBRARY_MODULES = (parking, perms, subgraphs, motzkin, sandpile)
 VALIDATORS = [(parking, "check_preference"), (subgraphs, "check_preference"),
               (subgraphs, "check_permutation"), (perms, "check_permutation"),
-              (sandpile, "check_preference"), (sandpile, "check_config")]
+              (motzkin, "check_preference"), (sandpile, "check_preference"),
+              (sandpile, "check_config")]
 
 PREF = (3, 1, 1, 2)
 ARCS = frozenset({(1, 4)})  # pf_to_subgraph(PREF), on its outcome 3412
 CONFIG = (11, 9, 5, 8, 1, 9, 4, 8, 4, 9, 10, 0)
+
+
+def test_package_reexports_each_library_module_all():
+    declared = [name for module in LIBRARY_MODULES for name in module.__all__]
+    assert mvparking.__all__ == declared and len(set(declared)) == len(declared)
+    for module in LIBRARY_MODULES:
+        for name in module.__all__:
+            assert getattr(mvparking, name) is getattr(module, name), name
+    from mvparking import fibre_size, outcome_distribution
+    assert fibre_size((3, 1, 2)) == outcome_distribution(3)[(3, 1, 2)] == 4
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) in `targets`; returns the list their calls append to."""
+    calls = []
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}"):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -49,16 +78,25 @@ CONFIG = (11, 9, 5, 8, 1, 9, 4, 8, 4, 9, 10, 0)
     (minrec_classical_trace, (CONFIG,)),
     (canonical_toppling, ((2, 4, 3, 0, 1),)),
     (is_recurrent, (CONFIG,)),
+    (bounds, (dec(6),)),
+    (valid_subgraphs, ((3, 4, 1, 2),)),
+    (decreasing_representative, ((1, 1, 3, 3),)),
+    (is_motzkin_pf, (PREF,)),
+    (inversion_graph_acyclic, ((2, 1, 4, 3),)),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_each_public_call_validates_its_input_once(monkeypatch, fn, args):
-    calls = []
-    for module, name in VALIDATORS:
-        def counted(x, _check=getattr(module, name), _name=f"{module.__name__}.{name}"):
-            calls.append(_name)
-            return _check(x)
-        monkeypatch.setattr(module, name, counted)
+    calls = _count_calls(monkeypatch, VALIDATORS)
     fn(*args)
     assert len(calls) == 1, calls
+
+
+def test_internal_inputs_are_built_once_and_not_rechecked(monkeypatch):
+    calls = _count_calls(monkeypatch, [*VALIDATORS, (subgraphs, "left_inversion_lists")])
+    bounds(dec(6))
+    assert calls == ["mvparking.subgraphs.check_permutation",
+                     "mvparking.subgraphs.left_inversion_lists"]
+    calls.clear()
+    assert len(decreasing_fibre(6)) == 51 and not calls  # n is checked by dec(n)
 
 
 def test_arcs_fixture_is_the_induced_subgraph():
@@ -96,6 +134,12 @@ BAD_SUBGRAPHS = [  # (label, arcs, permutation, exception, message)
     ("arc out of range", [(1, 5)], (2, 1), NotASubgraph, "arc (1,5) is not an inversion of (2, 1)"),
     ("bool entry", [(1, True)], (2, 1), ValueError,
      "malformed arc (1, True): need integers 1 <= j < i"),
+    ("bool arc source", [(True, 2)], (2, 1), ValueError,
+     "malformed arc (True, 2): need integers 1 <= j < i"),
+    ("bool permutation entry", [(1, 2)], (2, True), ValueError,
+     "(2, True) is not a rearrangement of 1..2"),
+    ("float permutation entry", [], (1.0, 2), ValueError,
+     "(1.0, 2) is not a rearrangement of 1..2"),
     ("arc not an inversion", [(1, 2)], (1, 2), NotASubgraph,
      "arc (1,2) is not an inversion of (1, 2)"),
     ("two left-arcs on one vertex", [(1, 3), (2, 3)], (3, 2, 1), NotASubgraph,

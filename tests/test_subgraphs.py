@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvparking import subgraphs
 from mvparking.motzkin import motzkin_numbers
 from mvparking.parking import displacement_mvp, is_parking_function
 from mvparking.perms import bipart, dec, split_right
@@ -126,10 +127,13 @@ def test_fibre_brute_matches_subgraph_method():
         assert fibre_brute(word) == fibre_via_subgraphs(word)
 
 
-def test_fibre_brute_cap():
+def test_fibre_brute_cap(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         fibre_brute(dec(8))
-    assert len(fibre_brute(dec(4), cap=4)) == 9
+    monkeypatch.setattr(subgraphs, "BRUTE_FORCE_CAP", 4)
+    with pytest.raises(SizeCapExceeded, match="n=5 above brute-force cap 4"):
+        fibre_brute(dec(5))
+    assert len(fibre_brute(dec(4))) == 9
 
 
 def _check_against_spot_order_oracle(word, with_subgraphs=True):

@@ -185,12 +185,11 @@ def test_cli_stabilise_guard(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stabilise", topple)
     code, out, err = run_cli(capsys, "sandpile", "stabilise", "-c", "9999999999,0,0")
     assert code == 2 and not out and err == (
-        "error: 9999999999 grains times 3 vertices above guard 4000000 for stabilise "
-        "(use --force)\n")
+        "error: 9999999999 grains above guard 300000 for stabilise (use --force)\n")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "STABILISE_GUARD", 10)
+    monkeypatch.setattr(cli, "STABILISE_GUARD", 3)
     code, out, err = run_cli(capsys, "sandpile", "stabilise", "-c", "4,0,0")
-    assert code == 2 and not out and "guard 10" in err
+    assert code == 2 and not out and "guard 3" in err
     code, out, _ = run_cli(capsys, "sandpile", "stabilise", "-c", "4,0,0", "--force", "--trace")
     assert code == 0 and out.splitlines() == ["1,1,1", "toppled: 1"]
 
@@ -502,6 +501,39 @@ def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
         "detail": "displacement equals total arc length", "counterexample": "p=1"}]
 
 
+SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, counterexample)
+    ("thm-2.5", {"n": 1}, "subgraph_to_pf", lambda arcs, word: (0,), 1, "p=1 came back as 0"),
+    ("thm-2.5", {"n": 1}, "enumerate_one_subgraphs", lambda word: [frozenset()] * 2, 3,
+     "pi=1 has colliding images"),
+    ("thm-2.8", {"n": 1}, "edges_acyclic", lambda edges, n: False, 1,
+     "pi=1: patterns=True search=False all_valid=True"),
+    ("thm-2.8", {"n": 1}, "fibre_size", lambda word: 0, 1, "pi=1"),
+    ("prop-2.10", {"n": 1}, "is_p2_free", lambda sub: False, 1, "pi=1 S={}"),
+    ("prop-2.11", {"n": 1}, "valid_subgraphs", lambda word: [], 1, "pi=1 S={}"),
+    ("thm-3.2", {"n": 1}, "is_motzkin_path", lambda path: False, 1, "p=1 path=H"),
+    ("thm-3.8", {"n": 1}, "motzkin_numbers", lambda upto: [0] * (upto + 1), 1,
+     "n=1: |noncross|=1 |valid|=1 motzkin=0"),
+    ("thm-4.1", {"m": 0}, "fibre_via_subgraphs", lambda word: [], 1, "m=0: enumerated 0, formula 1"),
+    ("thm-5.5", {"n": 1}, "canonical_toppling", lambda cfg: (), 1, "p=1"),
+    ("thm-5.5", {"n": 1}, "outcome_classical", lambda p: (), 1, "p=1"),
+    ("thm-6.3", {"n": 3}, "dec_to_split_subgraph", lambda arcs, n: frozenset(), 4, "n=3"),
+    ("thm-6.3", {"n": 3}, "split_left", lambda m, n: tuple(range(1, m + n + 1)), 4,
+     "n=3: missing=0 extra=3"),
+    ("abelian", {"n": 1}, "stabilise", lambda cfg: ((-1,) * len(cfg), ()), 1,
+     "start=(1,): (0,) != (-1,)"),
+]
+
+
+@pytest.mark.parametrize("suite, caps, name, fake, checked, counterexample", SUITE_FAULTS,
+                         ids=[f"{suite}-{name}" for suite, _, name, *_ in SUITE_FAULTS])
+def test_each_verify_suite_reports_an_injected_fault(monkeypatch, suite, caps, name, fake,
+                                                     checked, counterexample):
+    assert verify.run_suite(suite, **caps).passed
+    monkeypatch.setattr(verify, name, fake)
+    result = verify.run_suite(suite, **caps)
+    assert (result.passed, result.checked, result.counterexample) == (False, checked, counterexample)
+
+
 def test_verify_fibre_size_suite(monkeypatch, capsys):
     result = verify.run_suite("fibre-size", n=6)
     assert result.passed and result.checked == 1 + 2 + 6 + 24 + 120 + 720
@@ -552,7 +584,7 @@ def test_readme_cli_examples(capsys):
 def test_cli_bounds_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "3")
     assert code == 0 and not err
-    monkeypatch.setattr(subgraphs, "hs_count", lambda word: 0)
+    monkeypatch.setattr(subgraphs, "_hs_count", lambda linv: 0)
     code, out, err = run_cli(capsys, "table", "bounds", "--max-n", "3", "--format", "csv")
     assert code == 1 and out == "n,subgraphs,p2free,valid,hs\n1,1,1,1,0\n2,2,2,2,0\n3,6,5,4,0\n"
     assert [line.split(":")[0] for line in err.splitlines()] == [
