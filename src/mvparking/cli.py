@@ -45,8 +45,8 @@ TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 13),
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
 # Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes about 1 s
-# end to end and bipart(8,8) 0.6 s, but the output grows with the fibre: dec(16) takes 7-10 s
-# and 350 MiB (415 MiB with --format json).
+# end to end and bipart(8,8) 0.6 s, but the output grows with the fibre: dec(16) takes 7-8 s
+# and 260 MiB (295 MiB with --format pretty).
 FIBRE_GUARD = 14
 # Largest grain total for `sandpile stabilise` without --force.  A toppling removes one grain,
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
@@ -57,7 +57,7 @@ STABILISE_GUARD = 300_000
 class _Output(NamedTuple):
     """What one command produced: `text` is written by --format pretty,
     `data` dumped by --format json and `table` rendered by --format csv.
-    An output with no text is rendered from its table in every format."""
+    An output with neither text nor data is rendered from its table."""
 
     text: str | None
     data: object
@@ -90,21 +90,22 @@ def cmd_fibre(args) -> tuple[int, _Output]:
     fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
     status = 1 if args.method == "both" and fibre != brute else 0
     perm = format_permutation(word)
+    if args.format == "csv":  # the fibre can be large: build only what is rendered
+        return status, _Output(None, None, tables.ReportTable(
+            f"fibre-{perm}", [f"p{k}" for k in range(1, len(word) + 1)], fibre,
+            {"permutation": perm, "size": len(fibre)}))
     prefs = [format_preference(p) for p in fibre]
-    data = {"permutation": perm, "fibre": prefs, "size": len(fibre)}
+    if args.format == "json":
+        data = {"permutation": perm, "fibre": prefs, "size": len(fibre)}
+        if args.method == "both":
+            data["methods_agree"] = status == 0
+        return status, _Output(None, data)
     lines = [*prefs, f"size {len(fibre)}"]
     if args.method == "both":
-        data["methods_agree"] = status == 0
         lines.append("PASS subgraph and brute-force enumerations agree"
                      if status == 0 else
                      "FAIL subgraph and brute-force enumerations differ")
-    table = tables.ReportTable(
-        name=f"fibre-{perm}",
-        headers=[f"p{k}" for k in range(1, len(word) + 1)],
-        rows=fibre,
-        metadata={"permutation": perm, "size": len(fibre)},
-    )
-    return status, _Output("\n".join(lines), data, table)
+    return status, _Output("\n".join(lines), None)
 
 
 def cmd_table(args) -> tuple[int, _Output]:
@@ -285,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, out = args.func(args)
-        if args.format == "csv" or out.text is None:
+        if args.format == "csv" or (out.text is None and out.data is None):
             render = {"pretty": tables.render_pretty, "csv": tables.render_csv,
                       "json": tables.render_json}[args.format]
             text = render(out.table)

@@ -13,10 +13,10 @@ no directed two-arc path i -> j -> k (P2-free, necessary), and any subgraph
 whose arcs are pairwise horizontally disjoint, endpoints included, is valid
 (HS, sufficient).  Dynamic programs over the vertices count both families.
 
-Fibres are listed and counted by one program that runs backward from pi:
-it un-parks the cars n..1, so it only meets occupancies that still park to
-pi and has no dead ends.  `fibre_via_subgraphs` carries the preference
-suffixes through it, `fibre_size` only their number.
+Three independent programs list and count fibres.  `fibre_via_subgraphs`
+un-parks the cars n..1 backward from pi, so it only meets occupancies that
+still park to pi and has no dead ends.  `fibre_size` counts by a recursion
+over occupied runs, since un-parking a car changes only the run it is in.
 `outcome_distribution` counts every fibre of S_n in one forward pass from
 the empty street, and `fibre_brute` is the independent n^n scan.
 """
@@ -33,6 +33,7 @@ from .perms import check_permutation, left_inversion_lists
 __all__ = [
     "BRUTE_FORCE_CAP",
     "DISTRIBUTION_CAP",
+    "FIBRE_CAP",
     "FibreBounds",
     "NotASubgraph",
     "SizeCapExceeded",
@@ -58,6 +59,7 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 7
 DISTRIBUTION_CAP = 9
+FIBRE_CAP = 255  # cars are bytes in the lister's states and the count's runs
 _BYTE = tuple(bytes([b]) for b in range(256))
 
 
@@ -173,18 +175,17 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _unpark(word, seed, extend):
-    """The backward program from `word`, carrying one value per occupancy.
+def _unpark(word) -> list[tuple[int, ...]]:
+    """The backward program from `word`, listing its fibre unsorted.
 
     Level c maps each occupancy after cars 1..c have parked (padded bytes,
-    spot -> car, 0 for empty, so n <= 255) to a value for the ways cars
-    c+1..n can finish it to `word`; the full occupancy holds `seed`.  Car c
-    still holds the spot p it preferred, and it came to p in one of two
-    ways: p was free, or it bumped a car b of the occupied run right of p,
-    since b moved to the first free spot.  Un-parking car c undoes either
-    move: its value becomes `extend(value, p)` once, and that goes to each
-    predecessor, values meeting at one predecessor adding up with `+`.
-    Returns the value at the empty street.
+    spot -> car, 0 for empty, so n <= 255) to the preference suffixes of
+    cars c+1..n that finish it to `word`; the full occupancy holds [()].
+    Car c still holds the spot p it preferred, and it came to p in one of
+    two ways: p was free, or it bumped a car b of the occupied run right of
+    p, since b moved to the first free spot.  Un-parking car c undoes either
+    move: p goes in front of each suffix, and the new suffixes go to each
+    predecessor, lists meeting at one predecessor joined.
 
     Each backward step is an MVP step read in reverse, and every occupancy
     of cars 1..c-1 is reachable from the empty street, so every occupancy
@@ -192,14 +193,15 @@ def _unpark(word, seed, extend):
     no branch needs a cut.
     """
     n = len(word)
-    level = {bytes([0, *word, 0]): seed}  # spot n+1 stays free and ends every run
+    level = {bytes([0, *word, 0]): [()]}  # spot n+1 stays free and ends every run
     for car in range(n, 0, -1):
         c = _BYTE[car]
         nxt: dict = {}
         while level:
-            state, value = level.popitem()
+            state, suffixes = level.popitem()
             p = state.index(car)
-            value = extend(value, p)
+            head = (p,)
+            value = [head + s for s in suffixes]
             key = state.replace(c, b"\0")
             nxt[key] = nxt[key] + value if key in nxt else value
             for b in state[p + 1:state.find(0, p + 1)]:
@@ -210,23 +212,24 @@ def _unpark(word, seed, extend):
     return level[bytes(n + 2)]
 
 
-def _prepend(suffixes, p):
-    head = (p,)
-    return [head + s for s in suffixes]
+def _capped(word):
+    if len(word) > FIBRE_CAP:
+        raise SizeCapExceeded(f"n={len(word)} above fibre cap FIBRE_CAP={FIBRE_CAP}")
+    return word
 
 
 def fibre_via_subgraphs(pi: Iterable[int]) -> list[tuple[int, ...]]:
     """The MVP outcome fibre of pi: one preference per valid 1-subgraph.
 
-    Lexicographically sorted.  `_unpark` carries, for each occupancy, the
-    preference suffixes that finish it to pi, so every suffix it builds
-    ends in a member, and it builds at most n per member.
+    Lexicographically sorted; refuses n above `FIBRE_CAP`.  `_unpark`
+    carries, for each occupancy, the preference suffixes that finish it to
+    pi, so every suffix it builds ends in a member, at most n per member.
     """
     return _fibre(check_permutation(pi))
 
 
 def _fibre(word) -> list[tuple[int, ...]]:
-    return sorted(_unpark(word, [()], _prepend))
+    return sorted(_unpark(_capped(word)))
 
 
 def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
@@ -255,14 +258,35 @@ def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
 def fibre_size(pi: Iterable[int]) -> int:
     """Size of the MVP outcome fibre of pi, counted without listing it.
 
-    `_unpark` with counts: the full occupancy counts 1, un-parking a car
-    keeps its count, and the count at the empty street is the fibre size.
+    Un-parking car c (see `_unpark`) changes only the maximal occupied run
+    holding its spot p: p empties, or a car of the run moves back from its
+    spot q > p to p and q empties.  Runs only split, and a run's future
+    depends only on its cars in spot order, so a state counts the product
+    of its runs' counts.  For a run r with its largest car at index p,
+    count(r) = count(r[:p])·count(r[p+1:]) + Σ_{q>p} count(r[:p] + r[q] +
+    r[p+1:q])·count(r[q+1:]), and a run of at most one car counts 1.
+    pi itself is one run.  Refuses n above `FIBRE_CAP`.
     """
     return _fibre_size(check_permutation(pi))
 
 
 def _fibre_size(word) -> int:
-    return _unpark(word, 1, lambda ways, p: ways)
+    memo: dict[bytes, int] = {}  # smaller than tuples, and in fewer allocator size classes
+
+    def count(run):
+        if len(run) < 2:
+            return 1
+        ways = memo.get(run)
+        if ways is None:
+            p = run.index(max(run))
+            head, tail = run[:p], run[p + 1:]
+            ways = count(head) * count(tail)
+            for q, b in enumerate(tail):
+                ways += count(head + _BYTE[b] + tail[:q]) * count(tail[q + 1:])
+            memo[run] = ways
+        return ways
+
+    return count(bytes(_capped(word)))
 
 
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:

@@ -1,7 +1,7 @@
 """Report tables for the desk-scale enumerations, with CSV/JSON rendering.
 
-Every cell is an exact count: fibre sizes come from `fibre_size`, a dynamic
-program that un-parks the cars backward from the permutation, the P2-free
+Every cell is an exact count: fibre sizes come from `fibre_size`, a
+recursion over the occupied runs met un-parking the cars, the P2-free
 and HS counts from their dynamic programs over the vertices, and each
 conjecture row from `outcome_distribution`, one forward pass over the whole
 outcome map of S_n; no cell walks subgraphs or reads a stored table.

@@ -264,13 +264,13 @@ def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         total = 0
         for word in permutations(range(1, n + 1)):
             checked += 1
-            backward, listed = fibre_size(word), len(fibre_via_subgraphs(word))
-            if not backward == forward[word] == listed:
+            counted, listed = fibre_size(word), len(fibre_via_subgraphs(word))
+            if not counted == forward[word] == listed:
                 raise _Counterexample(
-                    checked, "backward DP vs whole-S_n forward DP vs listed fibre",
-                    f"pi={format_permutation(word)}: fibre_size={backward} "
+                    checked, "run-recursion count vs whole-S_n forward DP vs backward listing",
+                    f"pi={format_permutation(word)}: fibre_size={counted} "
                     f"outcome_distribution={forward[word]} listed={listed}")
-            total += backward
+            total += counted
         if total != (n + 1) ** (n - 1):
             raise _Counterexample(checked, "fibre sizes sum to (n+1)^(n-1)",
                                   f"n={n}: sum {total}, want {(n + 1) ** (n - 1)}")

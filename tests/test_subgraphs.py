@@ -11,6 +11,7 @@ from mvparking.motzkin import motzkin_numbers
 from mvparking.parking import displacement_mvp, is_parking_function
 from mvparking.perms import bipart, dec, split_right
 from mvparking.subgraphs import (
+    FIBRE_CAP,
     FibreBounds,
     NotASubgraph,
     SizeCapExceeded,
@@ -218,6 +219,38 @@ def test_pinned_walk_counters():
 @given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
 def test_fibre_size_matches_the_walk_on_random_permutations(word):
     assert fibre_size(word) == len(fibre_via_subgraphs(word))
+
+
+def _direct_sum(sigma, tau):
+    return (*sigma, *(len(sigma) + v for v in tau))
+
+
+@settings(deadline=None)
+@given(*(st.integers(1, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+         for _ in range(2)))
+def test_fibre_size_multiplies_over_direct_sums(sigma, tau):
+    # the cars of sigma fill spots 1..k before tau's arrive, and never get bumped past k
+    assert fibre_size(_direct_sum(sigma, tau)) == fibre_size(sigma) * fibre_size(tau)
+
+
+def test_fibre_size_beyond_the_oracles():
+    # both cross-checked once against the level-by-level backward count
+    assert fibre_size(bipart(10, 10)) == 995_610
+    assert fibre_size(dec(19)) == 18_199_284
+    motzkin = motzkin_numbers(20)
+    assert [fibre_size(dec(n)) for n in range(1, 21)] == motzkin[1:]
+
+
+def test_fibre_cap():
+    identity = tuple(range(1, FIBRE_CAP + 1))
+    assert fibre_size(identity) == 1 and fibre_via_subgraphs(identity) == [identity]
+    word = ()
+    for _ in range(FIBRE_CAP // 3):
+        word = _direct_sum(word, (3, 1, 2))
+    assert len(word) == FIBRE_CAP and fibre_size(word) == 4 ** 85
+    for func in (fibre_size, fibre_via_subgraphs):
+        with pytest.raises(SizeCapExceeded, match="n=256 above fibre cap FIBRE_CAP=255"):
+            func(range(1, FIBRE_CAP + 2))
 
 
 def test_bounds_match_walk_and_simulate_reference():

@@ -140,6 +140,12 @@ def test_cli_fibre(capsys):
         "methods_agree": True}
 
 
+def test_cli_fibre_refuses_n_above_fibre_cap(capsys):
+    perm = ",".join(map(str, range(1, subgraphs.FIBRE_CAP + 2)))
+    code, out, err = run_cli(capsys, "fibre", "--perm", perm, "--force")
+    assert code == 2 and not out and "above fibre cap FIBRE_CAP=255" in err
+
+
 def test_cli_fibre_no_prune_exits_2(capsys):
     out, err = usage_error(capsys, "fibre", "--perm", "312", "--no-prune")
     assert not out and "unrecognized arguments: --no-prune" in err
