@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 from typing import NamedTuple
 
 from . import tables, verify
@@ -52,6 +52,15 @@ FIBRE_GUARD = 14
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
 # measured, 300,000 grains piled on one of 100 vertices, takes 1.2 s end to end.
 STABILISE_GUARD = 300_000
+# Largest cap per verify suite without --force, for the one of --n and --m that it reads: the
+# largest measured to run in at most about 1.5 minutes in process on a 2-vCPU VM (CHANGES), and
+# in under 1 GiB.  One step more multiplies the n^n scans by about 20 (thm-2.5 --n 9 scans 9^9
+# vectors), the subgraph suites by 36, and the matching suites' memory by about 3.
+VERIFY_GUARDS = {
+    "thm-2.5": 8, "thm-2.8": 8, "prop-2.9": 8, "prop-2.10": 7, "prop-2.11": 7, "thm-3.2": 7,
+    "thm-3.8": 15, "thm-4.1": 130, "thm-5.5": 7, "thm-6.3": 15, "abelian": 75, "fibre-size": 8,
+    "subgraph-counts": 7,
+}
 
 
 class _Output(NamedTuple):
@@ -94,18 +103,19 @@ def cmd_fibre(args) -> tuple[int, _Output]:
         return status, _Output(None, None, tables.ReportTable(
             f"fibre-{perm}", [f"p{k}" for k in range(1, len(word) + 1)], fibre,
             {"permutation": perm, "size": len(fibre)}))
-    prefs = [format_preference(p) for p in fibre]
+    size, prefs = len(fibre), [format_preference(p) for p in fibre]
+    del fibre, brute  # from here on only the strings are held, not the members as well
     if args.format == "json":
-        data = {"permutation": perm, "fibre": prefs, "size": len(fibre)}
+        data = {"permutation": perm, "fibre": prefs, "size": size}
         if args.method == "both":
             data["methods_agree"] = status == 0
         return status, _Output(None, data)
-    lines = [*prefs, f"size {len(fibre)}"]
+    prefs.append(f"size {size}")  # extended in place: no second list of the lines
     if args.method == "both":
-        lines.append("PASS subgraph and brute-force enumerations agree"
+        prefs.append("PASS subgraph and brute-force enumerations agree"
                      if status == 0 else
                      "FAIL subgraph and brute-force enumerations differ")
-    return status, _Output("\n".join(lines), None)
+    return status, _Output("\n".join(prefs), None)
 
 
 def cmd_table(args) -> tuple[int, _Output]:
@@ -178,6 +188,12 @@ def cmd_verify(args) -> tuple[int, _Output]:
             if getattr(args, flag) is not None and flag not in verify._SUITES[args.suite][1]:
                 raise ValueError(f"verify --suite {args.suite} does not read --{flag}")
     names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
+    verify.check_caps(names, args.n)  # first: --force does not lift these
+    for name in names:
+        (flag,) = verify._SUITES[name][1]
+        cap, guard = getattr(args, flag), VERIFY_GUARDS[name]
+        if cap is not None and cap > guard and not args.force:
+            raise ValueError(f"{flag}={cap} above guard {guard} for verify --suite {name} (use --force)")
     results = verify.run_suites(names, n=args.n, m=args.m, seed=args.seed)
     status = 0 if all(r.passed for r in results) else 1
     return status, _Output("\n".join(r.summary() for r in results), [
@@ -279,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="override the m cap (suites that read one)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomised abelian checks; read by no other suite")
+    p.add_argument("--force", action="store_true", help="override the per-suite cap guards")
     return parser
 
 
@@ -292,12 +309,10 @@ def main(argv: list[str] | None = None) -> int:
             text = render(out.table)
         else:
             text = json.dumps(out.data, indent=2) if args.format == "json" else out.text
-        if not text.endswith("\n"):
-            text += "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        ending = "" if text.endswith("\n") else "\n"  # written apart: `text` can be large
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
+            sink.write(text)
+            sink.write(ending)
         for line in out.table.failures if out.table else ():
             print(line, file=sys.stderr)
         return status

@@ -212,7 +212,7 @@ def preference_to_config(p: Iterable[int]) -> tuple[int, ...]:
     return tuple(n - x for x in prefs)
 
 
-def _minrec(cfg, classical):
+def _minrec(cfg, classical, steps=None) -> tuple[int, ...]:
     """Shared pass behind minrec and its classical variant, on a checked
     configuration; raises NotRecurrent first if it is not recurrent.
 
@@ -220,11 +220,12 @@ def _minrec(cfg, classical):
     these values stay distinct.  When index j repeats a value, one of the
     pair drops to the largest smaller value not held among indices 1..j:
     the earlier index for the MVP variant, j itself for the classical one.
+    Each decrement is appended to `steps` as a MinrecStep when a list is
+    passed; the untraced calls build no log.
     """
     if not _is_recurrent(cfg):
         raise NotRecurrent(f"{cfg} is not recurrent")
     values = list(cfg)
-    steps: list[MinrecStep] = []
     where: dict[int, int] = {}
     for j, v in enumerate(values, start=1):
         if v not in where:
@@ -239,28 +240,31 @@ def _minrec(cfg, classical):
             after -= 1
         values[t - 1] = after
         where[after] = t
-        steps.append(MinrecStep(j, t, v, after))
-    return tuple(values), steps
+        if steps is not None:
+            steps.append(MinrecStep(j, t, v, after))
+    return tuple(values)
 
 
 def minrec_trace(c: Iterable[int]) -> tuple[tuple[int, ...], list[MinrecStep]]:
     """minrec plus the per-iteration decrement log."""
-    return _minrec(check_config(c), classical=False)
+    steps: list[MinrecStep] = []
+    return _minrec(check_config(c), classical=False, steps=steps), steps
 
 
 def minrec(c: Iterable[int]) -> tuple[int, ...]:
     """Reduce a recurrent configuration to the minimal recurrent one that
     carries the same MVP outcome; the result is a permutation of 0..n-1."""
-    return _minrec(check_config(c), classical=False)[0]
+    return _minrec(check_config(c), classical=False)
 
 
 def minrec_classical_trace(c: Iterable[int]) -> tuple[tuple[int, ...], list[MinrecStep]]:
-    return _minrec(check_config(c), classical=True)
+    steps: list[MinrecStep] = []
+    return _minrec(check_config(c), classical=True, steps=steps), steps
 
 
 def minrec_classical(c: Iterable[int]) -> tuple[int, ...]:
     """Variant decrementing the later duplicate; carries the classical outcome."""
-    return _minrec(check_config(c), classical=True)[0]
+    return _minrec(check_config(c), classical=True)
 
 
 def mvp_outcome_via_sandpile(p: Iterable[int]) -> tuple[int, ...]:
@@ -269,4 +273,4 @@ def mvp_outcome_via_sandpile(p: Iterable[int]) -> tuple[int, ...]:
     prefs = check_preference(p)
     _park(prefs)
     n = len(prefs)
-    return _canonical_toppling(_minrec(tuple(n - x for x in prefs), classical=False)[0])
+    return _canonical_toppling(_minrec(tuple(n - x for x in prefs), classical=False))

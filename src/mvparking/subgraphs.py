@@ -156,7 +156,11 @@ def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
 
 def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:
     """No directed path of two arcs: never (i, j) and (j, k) together."""
-    pairs = _check_arc_pairs(arcs)
+    return _is_p2_free(_check_arc_pairs(arcs))
+
+
+def _is_p2_free(pairs) -> bool:
+    """`is_p2_free` on checked arcs."""
     sources = {j for j, _ in pairs}
     targets = {i for _, i in pairs}
     return sources.isdisjoint(targets)
@@ -165,7 +169,12 @@ def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:
 def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
     """Horizontally separated: arcs pairwise disjoint in column span,
     endpoints included."""
-    pairs = sorted(_check_arc_pairs(arcs))
+    return _is_hs(_check_arc_pairs(arcs))
+
+
+def _is_hs(pairs) -> bool:
+    """`is_hs` on checked arcs."""
+    pairs = sorted(pairs)
     for a in range(len(pairs)):
         ja, ia = pairs[a]
         for b in range(a + 1, len(pairs)):

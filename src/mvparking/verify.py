@@ -5,6 +5,12 @@ functions, all subgraphs, ...) up to a size cap, checks one contract of the
 library against an independent route, and returns the number of cases
 checked with what was checked, or raises `_Counterexample` at the first
 failing case; `run_suite` turns either into a `SuiteResult`.
+
+A suite builds its own cases, so it calls the private kernels behind the
+public functions on them and does not validate them again: a public
+function is one input check followed by its kernel.  The parking-function
+scan simulates each vector once and hands its MVP outcome to every check
+that reads it.  Public functions stay where a suite tests them as such.
 """
 
 from __future__ import annotations
@@ -15,19 +21,18 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .motzkin import (
+    _popularity_path,
     dec_to_split_subgraph,
+    is_motzkin_path,
     motzkin_numbers,
     noncrossing_matchings,
-    preference_path,
-    is_motzkin_path,
 )
 from .parking import (
+    _classical_spots,
     _mvp,
     displacement_mvp,
     format_preference,
     is_parking_function,
-    outcome_classical,
-    outcome_mvp,
 )
 from .perms import (
     bipart,
@@ -38,33 +43,26 @@ from .perms import (
     inversions,
     split_left,
 )
-from .sandpile import (
-    canonical_toppling,
-    minrec,
-    minrec_classical,
-    preference_to_config,
-    stabilise,
-    topple,
-)
+from .sandpile import _canonical_toppling, _minrec, stabilise, topple
 from .subgraphs import (
     DISTRIBUTION_CAP,
     SizeCapExceeded,
+    _induced_arcs,
+    _induced_pf,
+    _is_hs,
+    _is_p2_free,
     count_one_subgraphs,
     enumerate_one_subgraphs,
     fibre_size,
     fibre_via_subgraphs,
     format_arcs,
     hs_count,
-    is_hs,
-    is_p2_free,
     outcome_distribution,
     p2_free_count,
-    pf_to_subgraph,
-    subgraph_to_pf,
     valid_subgraphs,
 )
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["SuiteResult", "SUITE_NAMES", "check_caps", "run_suite", "run_suites"]
 
 
 @dataclass
@@ -87,18 +85,20 @@ class _Counterexample(Exception):
     (cases checked so far, what was checked, the counterexample)."""
 
 
-def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
+def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each parking function of length n with its MVP outcome, from the one
+    simulation that tells it apart in the n^n scan."""
     for p in product(range(1, n + 1), repeat=n):
-        if _mvp(p, n) is not None:
-            yield p
+        spots = _mvp(p, n)
+        if spots is not None:
+            yield p, tuple(spots[1:])
 
 
 def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
-        for p in _parking_functions(n):
-            word = outcome_mvp(p).outcome
-            back = subgraph_to_pf(pf_to_subgraph(p), word)
+        for p, word in _parking_functions(n):
+            back = _induced_pf(_induced_arcs(p, word), word)
             checked += 1
             if back != p:
                 raise _Counterexample(
@@ -107,7 +107,7 @@ def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     inj_cap = min(n_cap, 6)  # sum of subgraph counts over S_7 is already huge
     for n in range(1, inj_cap + 1):
         for word in permutations(range(1, n + 1)):
-            images = [subgraph_to_pf(s, word) for s in enumerate_one_subgraphs(word)]
+            images = [_induced_pf(s, word) for s in enumerate_one_subgraphs(word)]
             checked += len(images)
             if len(set(images)) != len(images):
                 raise _Counterexample(checked, "injectivity over all 1-subgraphs",
@@ -142,9 +142,9 @@ def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
 def _suite_prop_2_9(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
-        for p in _parking_functions(n):
+        for p, word in _parking_functions(n):
             checked += 1
-            via_arcs = sum(i - j for j, i in pf_to_subgraph(p))
+            via_arcs = sum(i - j for j, i in _induced_arcs(p, word))
             if displacement_mvp(p) != via_arcs:
                 raise _Counterexample(checked, "displacement equals total arc length",
                                       f"p={format_preference(p)}")
@@ -167,13 +167,13 @@ def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
 def _suite_prop_2_10(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
         n_cap, premise_holds=lambda sub, valid: sub in valid,
-        conclusion_holds=lambda sub, valid: is_p2_free(sub),
+        conclusion_holds=lambda sub, valid: _is_p2_free(sub),
         detail=f"valid implies P2-free, all 1-subgraphs of all permutations, n<={n_cap}")
 
 
 def _suite_prop_2_11(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
-        n_cap, premise_holds=lambda sub, valid: is_hs(sub),
+        n_cap, premise_holds=lambda sub, valid: _is_hs(sub),
         conclusion_holds=lambda sub, valid: sub in valid,
         detail=f"HS implies valid, all 1-subgraphs of all permutations, n<={n_cap}")
 
@@ -185,10 +185,11 @@ def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
             checked += 1
             parks = _mvp(p, n) is not None
             two_per_spot = all(p.count(v) <= 2 for v in set(p))
-            if (parks and two_per_spot) != is_motzkin_path(preference_path(p)):
+            path = _popularity_path(p)
+            if (parks and two_per_spot) != is_motzkin_path(path):
                 raise _Counterexample(
                     checked, "two-cars-per-spot parking functions <=> Motzkin popularity path",
-                    f"p={format_preference(p)} path={preference_path(p)}")
+                    f"p={format_preference(p)} path={path}")
     return checked, f"all preference vectors with n<={n_cap}: membership matches the path test"
 
 
@@ -222,15 +223,14 @@ def _suite_thm_4_1(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
 def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
-        for p in _parking_functions(n):
+        for p, word in _parking_functions(n):
             checked += 1
-            cfg = preference_to_config(p)
-            via_sandpile = canonical_toppling(minrec(cfg))
-            if via_sandpile != outcome_mvp(p).outcome:
+            cfg = tuple(n - x for x in p)
+            if _canonical_toppling(_minrec(cfg, classical=False)) != word:
                 raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
                                       f"p={format_preference(p)}")
-            via_classical = canonical_toppling(minrec_classical(cfg))
-            if via_classical != outcome_classical(p):
+            via_classical = _canonical_toppling(_minrec(cfg, classical=True))
+            if via_classical != tuple(_classical_spots(p, n)[1:]):
                 raise _Counterexample(checked, "classical variant vs direct outcome",
                                       f"p={format_preference(p)}")
     return checked, (
@@ -256,8 +256,6 @@ def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
 
 
 def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
-    if n_cap > DISTRIBUTION_CAP:  # refused up front: the n below the cap alone run for minutes
-        raise SizeCapExceeded(f"fibre-size n={n_cap} above outcome distribution cap {DISTRIBUTION_CAP}")
     checked = 0
     for n in range(1, n_cap + 1):
         forward = outcome_distribution(n)
@@ -285,7 +283,7 @@ def _suite_subgraph_counts(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]
         for word in permutations(range(1, n + 1)):
             checked += 1
             subs = list(enumerate_one_subgraphs(word))
-            filtered = (sum(map(is_p2_free, subs)), sum(map(is_hs, subs)))
+            filtered = (sum(map(_is_p2_free, subs)), sum(map(_is_hs, subs)))
             counted = (p2_free_count(word), hs_count(word))
             if counted != filtered:
                 raise _Counterexample(
@@ -346,11 +344,19 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES)
 
 
+def check_caps(names: list[str], n: int | None = None) -> None:
+    """Refuse, before any suite runs, a cap that no override lifts: fibre-size
+    above `DISTRIBUTION_CAP`, where the n below the cap alone run for minutes."""
+    if n is not None and n > DISTRIBUTION_CAP and "fibre-size" in names:
+        raise SizeCapExceeded(f"fibre-size n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
+
+
 def run_suite(name: str, n: int | None = None, m: int | None = None, seed: int = 0) -> SuiteResult:
     """Run one named suite with optional cap overrides; one that checks no
     case fails, since it proves nothing."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    check_caps([name], n)
     fn, defaults = _SUITES[name]
     n_cap = n if n is not None else defaults.get("n", 6)
     m_cap = m if m is not None else defaults.get("m", 8)

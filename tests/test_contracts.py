@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 import mvparking
-from mvparking import motzkin, parking, perms, sandpile, subgraphs
+from mvparking import motzkin, parking, perms, sandpile, subgraphs, verify
 from mvparking.motzkin import decreasing_fibre, decreasing_representative, is_motzkin_pf
 from mvparking.parking import NotAParkingFunction, displacement_mvp
 from mvparking.perms import dec, inversion_graph_acyclic
@@ -97,6 +97,21 @@ def test_internal_inputs_are_built_once_and_not_rechecked(monkeypatch):
                      "mvparking.subgraphs.left_inversion_lists"]
     calls.clear()
     assert len(decreasing_fibre(6)) == 51 and not calls  # n is checked by dec(n)
+
+
+@pytest.mark.parametrize("suite, preference_checks", [
+    ("thm-2.5", 0), ("prop-2.9", 1 + 3 + 16), ("thm-3.2", 0), ("thm-5.5", 0)])
+def test_verify_suites_do_not_recheck_the_cases_they_build(monkeypatch, suite, preference_checks):
+    """At n = 3 no suite re-validates a vector it scanned or a configuration
+    it built; prop-2.9 checks each of the 20 parking functions only inside
+    `displacement_mvp`, the public function it tests.  A permutation is
+    checked at most once per word of S_1..S_3."""
+    calls = _count_calls(monkeypatch, VALIDATORS)
+    assert verify.run_suite(suite, n=3).passed
+    assert calls.count("mvparking.parking.check_preference") == preference_checks
+    assert not {"mvparking.subgraphs.check_preference", "mvparking.motzkin.check_preference",
+                "mvparking.sandpile.check_preference", "mvparking.sandpile.check_config"} & {*calls}
+    assert sum(name.endswith(".check_permutation") for name in calls) <= 1 + 2 + 6
 
 
 def test_arcs_fixture_is_the_induced_subgraph():

@@ -184,6 +184,14 @@ def test_minrec_classical():
     assert minrec_classical((2, 4, 3, 0, 1)) == (2, 4, 3, 0, 1)
 
 
+def test_untraced_minrec_equals_the_traced_result_exhaustive():
+    for n in range(1, 6):
+        for c in product(range(n), repeat=n):
+            if is_recurrent(c):
+                assert minrec(c) == minrec_trace(c)[0]
+                assert minrec_classical(c) == minrec_classical_trace(c)[0]
+
+
 def test_minrec_output_is_minimal_recurrent_exhaustive():
     for n in range(1, 6):
         for c in product(range(n), repeat=n):

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from itertools import permutations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,35 @@ def test_cli_verify_refuses_the_cap_a_suite_does_not_read(capsys, suite, flag):
     assert err == f"error: verify --suite {suite} does not read {flag}\n"
 
 
+def test_cli_verify_guards(capsys, monkeypatch):
+    def suites(*_args, **_kwargs):
+        raise AssertionError("a suite ran before the guard was checked")
+
+    monkeypatch.setattr(verify, "run_suites", suites)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm-2.5", "--n", "9")
+    assert code == 2 and not out and err == (
+        "error: n=9 above guard 8 for verify --suite thm-2.5 (use --force)\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "3", "--m", "131")
+    assert code == 2 and not out and err == (
+        "error: m=131 above guard 130 for verify --suite thm-4.1 (use --force)\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "fibre-size", "--n", "10", "--force")
+    assert code == 2 and not out and err == (
+        "error: fibre-size n=10 above outcome distribution cap 9\n")
+    monkeypatch.undo()
+    monkeypatch.setitem(cli.VERIFY_GUARDS, "thm-2.5", 2)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm-2.5", "--n", "3")
+    assert code == 2 and not out and "guard 2" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "thm-2.5", "--n", "3", "--force")
+    assert code == 0 and out.startswith("thm-2.5: PASS (")
+
+
+def test_every_verify_default_cap_is_within_its_guard():
+    assert list(cli.VERIFY_GUARDS) == verify.SUITE_NAMES
+    for name, (_fn, defaults) in verify._SUITES.items():
+        (cap,) = defaults.values()
+        assert cap <= cli.VERIFY_GUARDS[name], name
+
+
 def test_cli_verify_all_takes_both_caps_and_every_suite_takes_seed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "3", "--m", "1")
     assert code == 0 and out.count("PASS") == len(verify.SUITE_NAMES)
@@ -508,20 +538,20 @@ def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
 
 
 SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, counterexample)
-    ("thm-2.5", {"n": 1}, "subgraph_to_pf", lambda arcs, word: (0,), 1, "p=1 came back as 0"),
+    ("thm-2.5", {"n": 1}, "_induced_pf", lambda arcs, word: (0,), 1, "p=1 came back as 0"),
     ("thm-2.5", {"n": 1}, "enumerate_one_subgraphs", lambda word: [frozenset()] * 2, 3,
      "pi=1 has colliding images"),
     ("thm-2.8", {"n": 1}, "edges_acyclic", lambda edges, n: False, 1,
      "pi=1: patterns=True search=False all_valid=True"),
     ("thm-2.8", {"n": 1}, "fibre_size", lambda word: 0, 1, "pi=1"),
-    ("prop-2.10", {"n": 1}, "is_p2_free", lambda sub: False, 1, "pi=1 S={}"),
+    ("prop-2.10", {"n": 1}, "_is_p2_free", lambda pairs: False, 1, "pi=1 S={}"),
     ("prop-2.11", {"n": 1}, "valid_subgraphs", lambda word: [], 1, "pi=1 S={}"),
     ("thm-3.2", {"n": 1}, "is_motzkin_path", lambda path: False, 1, "p=1 path=H"),
     ("thm-3.8", {"n": 1}, "motzkin_numbers", lambda upto: [0] * (upto + 1), 1,
      "n=1: |noncross|=1 |valid|=1 motzkin=0"),
     ("thm-4.1", {"m": 0}, "fibre_via_subgraphs", lambda word: [], 1, "m=0: enumerated 0, formula 1"),
-    ("thm-5.5", {"n": 1}, "canonical_toppling", lambda cfg: (), 1, "p=1"),
-    ("thm-5.5", {"n": 1}, "outcome_classical", lambda p: (), 1, "p=1"),
+    ("thm-5.5", {"n": 1}, "_canonical_toppling", lambda cfg: (), 1, "p=1"),
+    ("thm-5.5", {"n": 1}, "_classical_spots", lambda prefs, n: [0], 1, "p=1"),
     ("thm-6.3", {"n": 3}, "dec_to_split_subgraph", lambda arcs, n: frozenset(), 4, "n=3"),
     ("thm-6.3", {"n": 3}, "split_left", lambda m, n: tuple(range(1, m + n + 1)), 4,
      "n=3: missing=0 extra=3"),
@@ -538,6 +568,26 @@ def test_each_verify_suite_reports_an_injected_fault(monkeypatch, suite, caps, n
     monkeypatch.setattr(verify, name, fake)
     result = verify.run_suite(suite, **caps)
     assert (result.passed, result.checked, result.counterexample) == (False, checked, counterexample)
+
+
+def test_every_verify_suite_checks_the_closed_form_number_of_cases():
+    """Case counts at n = 5 and m = 4 from closed forms: n^n vectors,
+    (n+1)^(n-1) parking functions, n! permutations, prod_i i(i+1)/2
+    1-subgraphs over all of S_n, and the Motzkin numbers."""
+    sizes = range(1, 6)
+    factorials = sum(prod(range(1, n + 1)) for n in sizes)
+    pfs = sum((n + 1) ** (n - 1) for n in sizes)
+    subgraph_total = sum(prod(i * (i + 1) // 2 for i in range(1, n + 1)) for n in sizes)
+    motzkin = [1, 1, 2, 4, 9, 21]
+    want = {
+        "thm-2.5": pfs + subgraph_total, "thm-2.8": factorials, "prop-2.9": pfs,
+        "prop-2.10": subgraph_total, "prop-2.11": subgraph_total, "thm-3.2": sum(n**n for n in sizes),
+        "thm-3.8": sum(motzkin[1:]), "thm-4.1": 5, "thm-5.5": pfs, "thm-6.3": sum(motzkin[3:]),
+        "abelian": 5 * 200 * 3, "fibre-size": factorials, "subgraph-counts": factorials,
+    }
+    assert list(want) == verify.SUITE_NAMES
+    for name, result in zip(want, verify.run_suites(verify.SUITE_NAMES, n=5, m=4)):
+        assert result.passed and result.checked == want[name], name
 
 
 def test_verify_fibre_size_suite(monkeypatch, capsys):
