@@ -3,18 +3,21 @@
 Exit codes: 0 success (and every verify suite PASS), 1 property failure
 (a verify suite, a both-methods fibre comparison or a table's identity
 check found a mismatch), 2 usage or contract errors (unparseable input,
-preconditions, guard limits, options the operation does not read).
+preconditions, guard limits, options the operation does not read, output
+that cannot be written).
 
 Each operation (`outcome`, `table bounds`, `sandpile minrec`, ...) has its own
 argparse parser declaring exactly the options it reads; a `cmd_*` checks only
-rules that span two flags or need parsed input.  Each `cmd_*` returns its exit
-status and an `_Output`; `main` alone renders and writes that output.
+rules that span two flags or need parsed input, and every size guard through
+`_guard`, before any work.  Each `cmd_*` returns its exit status and an
+`_Output`; `main` alone renders and writes that output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import NamedTuple
@@ -52,15 +55,12 @@ FIBRE_GUARD = 14
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
 # measured, 300,000 grains piled on one of 100 vertices, takes 1.2 s end to end.
 STABILISE_GUARD = 300_000
-# Largest cap per verify suite without --force, for the one of --n and --m that it reads: the
-# largest measured to run in at most about 1.5 minutes in process on a 2-vCPU VM (CHANGES), and
-# in under 1 GiB.  One step more multiplies the n^n scans by about 20 (thm-2.5 --n 9 scans 9^9
-# vectors), the subgraph suites by 36, and the matching suites' memory by about 3.
-VERIFY_GUARDS = {
-    "thm-2.5": 8, "thm-2.8": 8, "prop-2.9": 8, "prop-2.10": 7, "prop-2.11": 7, "thm-3.2": 7,
-    "thm-3.8": 15, "thm-4.1": 130, "thm-5.5": 7, "thm-6.3": 15, "abelian": 75, "fibre-size": 8,
-    "subgraph-counts": 7,
-}
+
+
+def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
+    """Refuse `size` (named in the message by `amount`) above `guard` unless --force."""
+    if size > guard and not args.force:
+        raise ValueError(f"{amount} above guard {guard} for {what} (use --force)")
 
 
 class _Output(NamedTuple):
@@ -92,8 +92,7 @@ def cmd_outcome(args) -> tuple[int, _Output]:
 
 def cmd_fibre(args) -> tuple[int, _Output]:
     word = parse_permutation(args.perm)
-    if len(word) > FIBRE_GUARD and not args.force:
-        raise ValueError(f"n={len(word)} above guard {FIBRE_GUARD} for fibre (use --force)")
+    _guard(args, f"n={len(word)}", len(word), FIBRE_GUARD, "fibre")
     # Brute force first: it refuses n above its cap before the listing starts.
     brute = fibre_brute(word) if args.method != "subgraph" else None
     fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
@@ -120,18 +119,10 @@ def cmd_fibre(args) -> tuple[int, _Output]:
 
 def cmd_table(args) -> tuple[int, _Output]:
     which = args.which
-    guard = TABLE_GUARDS[which][1]
-    sizes = (args.max_m, args.max_n) if which == "bipartite" else (args.max_n,)
-    if max(sizes) > guard and not args.force:
-        raise ValueError(f"requested size above guard {guard} for {which} (use --force)")
-    if which == "bounds":
-        table = tables.bounds_table(args.max_n)
-    elif which == "bipartite":
-        table = tables.bipartite_table(args.max_m, args.max_n)
-    elif which == "dec-vs-split":
-        table = tables.dec_vs_split_table(args.max_n)
-    else:
-        table = tables.conjecture_table(args.max_n)
+    sizes = {"m": args.max_m, "n": args.max_n} if which == "bipartite" else {"n": args.max_n}
+    for flag, size in sizes.items():
+        _guard(args, f"{flag}={size}", size, TABLE_GUARDS[which][1], which)
+    table = getattr(tables, f"{which.replace('-', '_')}_table")(*sizes.values())
     return (1 if table.failures else 0), _Output(None, None, table)
 
 
@@ -142,8 +133,7 @@ def cmd_motzkin(args) -> tuple[int, _Output]:
 
 
 def cmd_noncross(args) -> tuple[int, _Output]:
-    if args.n > NONCROSS_GUARD and not args.force:
-        raise ValueError(f"requested size above guard {NONCROSS_GUARD} for noncross (use --force)")
+    _guard(args, f"n={args.n}", args.n, NONCROSS_GUARD, "noncross")
     matchings = noncrossing_matchings(args.n)
     if args.count:
         count = str(sum(1 for _ in matchings))
@@ -162,8 +152,7 @@ def cmd_sandpile(args) -> tuple[int, _Output]:
 def _stabilise(args) -> list[str]:
     config = parse_config(args.config)
     grains = sum(config)
-    if grains > STABILISE_GUARD and not args.force:
-        raise ValueError(f"{grains} grains above guard {STABILISE_GUARD} for stabilise (use --force)")
+    _guard(args, f"{grains} grains", grains, STABILISE_GUARD, "stabilise")
     stable, seq = stabilise(config)
     lines = [format_config(stable)]
     if args.trace:
@@ -185,15 +174,15 @@ def _reduction(runner, args) -> list[str]:
 def cmd_verify(args) -> tuple[int, _Output]:
     if args.suite != "all":
         for flag in ("n", "m"):
-            if getattr(args, flag) is not None and flag not in verify._SUITES[args.suite][1]:
+            if getattr(args, flag) is not None and flag != verify.SUITES[args.suite][1]:
                 raise ValueError(f"verify --suite {args.suite} does not read --{flag}")
     names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
     verify.check_caps(names, args.n)  # first: --force does not lift these
     for name in names:
-        (flag,) = verify._SUITES[name][1]
-        cap, guard = getattr(args, flag), VERIFY_GUARDS[name]
-        if cap is not None and cap > guard and not args.force:
-            raise ValueError(f"{flag}={cap} above guard {guard} for verify --suite {name} (use --force)")
+        _fn, flag, _default, guard = verify.SUITES[name]
+        cap = getattr(args, flag)
+        if cap is not None:
+            _guard(args, f"{flag}={cap}", cap, guard, f"verify --suite {name}")
     results = verify.run_suites(names, n=args.n, m=args.m, seed=args.seed)
     status = 0 if all(r.passed for r in results) else 1
     return status, _Output("\n".join(r.summary() for r in results), [
@@ -304,15 +293,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status, out = args.func(args)
         if args.format == "csv" or (out.text is None and out.data is None):
-            render = {"pretty": tables.render_pretty, "csv": tables.render_csv,
-                      "json": tables.render_json}[args.format]
-            text = render(out.table)
+            text = getattr(tables, f"render_{args.format}")(out.table)
         else:
             text = json.dumps(out.data, indent=2) if args.format == "json" else out.text
         ending = "" if text.endswith("\n") else "\n"  # written apart: `text` can be large
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
-            sink.write(text)
-            sink.write(ending)
+        try:
+            with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
+                sink.write(text)
+                sink.write(ending)
+        except OSError as exc:
+            if not args.out:  # so would the interpreter's last flush of stdout (say, a closed pipe)
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise ValueError(f"cannot write output: {exc}") from None
         for line in out.table.failures if out.table else ():
             print(line, file=sys.stderr)
         return status

@@ -4,7 +4,8 @@ Each suite sweeps a whole family of inputs (all permutations, all parking
 functions, all subgraphs, ...) up to a size cap, checks one contract of the
 library against an independent route, and returns the number of cases
 checked with what was checked, or raises `_Counterexample` at the first
-failing case; `run_suite` turns either into a `SuiteResult`.
+failing case; `run_suite` turns either into a `SuiteResult`.  `SUITES`
+declares each suite's cap (`n` or `m`), its default and the CLI's guard.
 
 A suite builds its own cases, so it calls the private kernels behind the
 public functions on them and does not validate them again: a public
@@ -62,7 +63,7 @@ from .subgraphs import (
     valid_subgraphs,
 )
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "check_caps", "run_suite", "run_suites"]
+__all__ = ["SuiteResult", "SUITES", "SUITE_NAMES", "check_caps", "run_suite", "run_suites"]
 
 
 @dataclass
@@ -94,7 +95,7 @@ def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
             yield p, tuple(spots[1:])
 
 
-def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_2_5(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p, word in _parking_functions(n):
@@ -117,7 +118,7 @@ def _suite_thm_2_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         f"and injectivity over all 1-subgraphs (n<={inj_cap})")
 
 
-def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_2_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
@@ -139,7 +140,7 @@ def _suite_thm_2_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         "every 1-subgraph valid, with the product formula when acyclic")
 
 
-def _suite_prop_2_9(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_prop_2_9(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p, word in _parking_functions(n):
@@ -164,21 +165,21 @@ def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
     return checked, detail
 
 
-def _suite_prop_2_10(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_prop_2_10(n_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
         n_cap, premise_holds=lambda sub, valid: sub in valid,
         conclusion_holds=lambda sub, valid: _is_p2_free(sub),
         detail=f"valid implies P2-free, all 1-subgraphs of all permutations, n<={n_cap}")
 
 
-def _suite_prop_2_11(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_prop_2_11(n_cap: int, seed: int) -> tuple[int, str]:
     return _subgraph_implication(
         n_cap, premise_holds=lambda sub, valid: _is_hs(sub),
         conclusion_holds=lambda sub, valid: sub in valid,
         detail=f"HS implies valid, all 1-subgraphs of all permutations, n<={n_cap}")
 
 
-def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_3_2(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p in product(range(1, n + 1), repeat=n):
@@ -193,7 +194,7 @@ def _suite_thm_3_2(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"all preference vectors with n<={n_cap}: membership matches the path test"
 
 
-def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_3_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     motzkin = motzkin_numbers(n_cap)
     for n in range(1, n_cap + 1):
@@ -208,7 +209,7 @@ def _suite_thm_3_8(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"set equality and Motzkin counts for n<={n_cap}"
 
 
-def _suite_thm_4_1(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_4_1(m_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for m in range(0, m_cap + 1):
         checked += 1
@@ -220,7 +221,7 @@ def _suite_thm_4_1(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"enumerated fibre equals m+1+floor((m+1)^2/2) for m=0..{m_cap}"
 
 
-def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for p, word in _parking_functions(n):
@@ -238,7 +239,7 @@ def _suite_thm_5_5(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         f"function with n<={n_cap}")
 
 
-def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_thm_6_3(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(3, n_cap + 1):
         source = valid_subgraphs(dec(n))
@@ -255,7 +256,7 @@ def _suite_thm_6_3(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"bijection onto the split permutation's valid subgraphs for n<={n_cap}"
 
 
-def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_fibre_size(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         forward = outcome_distribution(n)
@@ -277,7 +278,7 @@ def _suite_fibre_size(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         f"permutation with n<={n_cap}, the sizes summing to (n+1)^(n-1)")
 
 
-def _suite_subgraph_counts(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_subgraph_counts(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
@@ -298,7 +299,7 @@ def _suite_subgraph_counts(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]
 _ABELIAN_CASES = 200  # random recurrent configurations per n
 
 
-def _suite_abelian(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
+def _suite_abelian(n_cap: int, seed: int) -> tuple[int, str]:
     rng = random.Random(seed)
     checked = 0
     for n in range(1, n_cap + 1):
@@ -325,23 +326,28 @@ def _suite_abelian(n_cap: int, m_cap: int, seed: int) -> tuple[int, str]:
         f"per n<={n_cap}, 3 trials each (seed={seed})")
 
 
-_SUITES = {
-    "thm-2.5": (_suite_thm_2_5, {"n": 6}),
-    "thm-2.8": (_suite_thm_2_8, {"n": 6}),
-    "prop-2.9": (_suite_prop_2_9, {"n": 6}),
-    "prop-2.10": (_suite_prop_2_10, {"n": 6}),
-    "prop-2.11": (_suite_prop_2_11, {"n": 6}),
-    "thm-3.2": (_suite_thm_3_2, {"n": 6}),
-    "thm-3.8": (_suite_thm_3_8, {"n": 8}),
-    "thm-4.1": (_suite_thm_4_1, {"m": 8}),
-    "thm-5.5": (_suite_thm_5_5, {"n": 6}),
-    "thm-6.3": (_suite_thm_6_3, {"n": 8}),
-    "abelian": (_suite_abelian, {"n": 8}),
-    "fibre-size": (_suite_fibre_size, {"n": 7}),
-    "subgraph-counts": (_suite_subgraph_counts, {"n": 6}),
+# Per suite: (the suite, the cap it reads, its default, its guard).  The guard is the largest cap
+# the CLI runs without --force: the largest measured to run in at most about 1.5 minutes in
+# process on a 2-vCPU VM (CHANGES), and in under 1 GiB.  One step more multiplies the n^n scans
+# by about 20 (thm-2.5 --n 9 scans 9^9 vectors), the subgraph suites by 36, and the matching
+# suites' memory by about 3.  The library itself is unguarded.
+SUITES = {
+    "thm-2.5": (_suite_thm_2_5, "n", 6, 8),
+    "thm-2.8": (_suite_thm_2_8, "n", 6, 8),
+    "prop-2.9": (_suite_prop_2_9, "n", 6, 8),
+    "prop-2.10": (_suite_prop_2_10, "n", 6, 7),
+    "prop-2.11": (_suite_prop_2_11, "n", 6, 7),
+    "thm-3.2": (_suite_thm_3_2, "n", 6, 7),
+    "thm-3.8": (_suite_thm_3_8, "n", 8, 15),
+    "thm-4.1": (_suite_thm_4_1, "m", 8, 130),
+    "thm-5.5": (_suite_thm_5_5, "n", 6, 7),
+    "thm-6.3": (_suite_thm_6_3, "n", 8, 15),
+    "abelian": (_suite_abelian, "n", 8, 75),
+    "fibre-size": (_suite_fibre_size, "n", 7, 8),
+    "subgraph-counts": (_suite_subgraph_counts, "n", 6, 7),
 }
 
-SUITE_NAMES = list(_SUITES)
+SUITE_NAMES = list(SUITES)
 
 
 def check_caps(names: list[str], n: int | None = None) -> None:
@@ -352,16 +358,15 @@ def check_caps(names: list[str], n: int | None = None) -> None:
 
 
 def run_suite(name: str, n: int | None = None, m: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run one named suite with optional cap overrides; one that checks no
-    case fails, since it proves nothing."""
-    if name not in _SUITES:
+    """Run one named suite, overriding the one of its `n` and `m` caps that
+    it reads; one that checks no case fails, since it proves nothing."""
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     check_caps([name], n)
-    fn, defaults = _SUITES[name]
-    n_cap = n if n is not None else defaults.get("n", 6)
-    m_cap = m if m is not None else defaults.get("m", 8)
+    fn, flag, default, _guard = SUITES[name]
+    cap = n if flag == "n" else m
     try:
-        checked, detail = fn(n_cap, m_cap, seed)
+        checked, detail = fn(default if cap is None else cap, seed)
         counterexample = None
     except _Counterexample as failure:
         checked, detail, counterexample = failure.args

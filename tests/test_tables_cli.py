@@ -402,7 +402,7 @@ def test_cli_verify_guards(capsys, monkeypatch):
     assert code == 2 and not out and err == (
         "error: fibre-size n=10 above outcome distribution cap 9\n")
     monkeypatch.undo()
-    monkeypatch.setitem(cli.VERIFY_GUARDS, "thm-2.5", 2)
+    monkeypatch.setitem(verify.SUITES, "thm-2.5", (*verify.SUITES["thm-2.5"][:3], 2))
     code, out, err = run_cli(capsys, "verify", "--suite", "thm-2.5", "--n", "3")
     assert code == 2 and not out and "guard 2" in err
     code, out, _ = run_cli(capsys, "verify", "--suite", "thm-2.5", "--n", "3", "--force")
@@ -410,10 +410,61 @@ def test_cli_verify_guards(capsys, monkeypatch):
 
 
 def test_every_verify_default_cap_is_within_its_guard():
-    assert list(cli.VERIFY_GUARDS) == verify.SUITE_NAMES
-    for name, (_fn, defaults) in verify._SUITES.items():
-        (cap,) = defaults.values()
-        assert cap <= cli.VERIFY_GUARDS[name], name
+    assert list(verify.SUITES) == verify.SUITE_NAMES
+    for name, (_fn, _flag, cap, guard) in verify.SUITES.items():
+        assert cap <= guard, name
+
+
+def _guarded_operations():
+    """Each guarded operation at one above its guard, read from where the guard
+    is declared: (argv, the refusal's message, module and name of the worker
+    that must not run before the check, what a stub of that worker returns)."""
+    stub_table = tables.ReportTable("stub", ["n"], [[1]])
+    for which, (_least, guard) in cli.TABLE_GUARDS.items():
+        for flag in ("m", "n") if which == "bipartite" else ("n",):
+            yield pytest.param(
+                ["table", which, f"--max-{flag}", str(guard + 1)],
+                f"{flag}={guard + 1} above guard {guard} for {which}",
+                tables, f"{which.replace('-', '_')}_table", stub_table, id=f"table-{which}-{flag}")
+    guard = cli.FIBRE_GUARD
+    yield pytest.param(["fibre", "--perm", ",".join(map(str, range(1, guard + 2)))],
+                       f"n={guard + 1} above guard {guard} for fibre",
+                       cli, "fibre_via_subgraphs", [], id="fibre")
+    guard = cli.NONCROSS_GUARD
+    yield pytest.param(["motzkin", "noncross", "-n", str(guard + 1)],
+                       f"n={guard + 1} above guard {guard} for noncross",
+                       cli, "noncrossing_matchings", [], id="noncross")
+    guard = cli.STABILISE_GUARD
+    yield pytest.param(["sandpile", "stabilise", "-c", str(guard + 1)],
+                       f"{guard + 1} grains above guard {guard} for stabilise",
+                       cli, "stabilise", ((0,), ()), id="stabilise")
+    for name, (_fn, flag, _default, guard) in verify.SUITES.items():
+        yield pytest.param(["verify", "--suite", name, f"--{flag}", str(guard + 1)],
+                           f"{flag}={guard + 1} above guard {guard} for verify --suite {name}",
+                           verify, "run_suites", [verify.SuiteResult(name, True, 1, "stub")],
+                           id=f"verify-{name}")
+
+
+@pytest.mark.parametrize("argv, message, module, worker, result", _guarded_operations())
+def test_every_guard_refuses_one_above_it_before_any_work(capsys, monkeypatch, argv, message,
+                                                          module, worker, result):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{worker} ran before the guard was checked")
+
+    monkeypatch.setattr(module, worker, refuse)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message} (use --force)\n")
+    calls = []
+    monkeypatch.setattr(module, worker, lambda *args, **_kwargs: calls.append(args) or result)
+    code, _, err = run_cli(capsys, *argv, "--force")
+    assert (code, err, len(calls)) == (0, "", 1)
+
+
+def test_the_library_runs_suites_above_their_guards(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "thm-2.5", (*verify.SUITES["thm-2.5"][:3], 1))
+    assert verify.run_suite("thm-2.5", n=2).passed
+    assert all(r.passed for r in verify.run_suites(["thm-2.5"], n=2))
+    with pytest.raises(subgraphs.SizeCapExceeded, match="n=10 above outcome distribution cap 9"):
+        verify.check_caps(["fibre-size"], 10)
 
 
 def test_cli_verify_all_takes_both_caps_and_every_suite_takes_seed(capsys):
@@ -436,6 +487,34 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0 and not out
     assert target.read_text(encoding="utf-8") == (
         "3412\nbump: car 2 from spot 1 to spot 2\nbump: car 2 from spot 2 to spot 4\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["outcome", "--model", "mvp", "-p", "1"],
+    ["verify", "--suite", "thm-2.5", "--n", "2"],
+])
+def test_cli_output_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def _env_with_src() -> dict[str, str]:
+    """This environment, with the repository's `src` first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_closed_stdout_exits_2_without_a_traceback():
+    with subprocess.Popen(  # about 790 kB of output, far more than a pipe holds
+            [sys.executable, "-m", "mvparking.cli", "motzkin", "noncross", "-n", "13"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src()) as proc:
+        assert proc.stdout.readline() == b"\n"  # the empty matching comes first
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert (proc.returncode, err) == (2, "error: cannot write output: [Errno 32] Broken pipe\n")
 
 
 def test_cli_csv_rejected_for_scalars(capsys):
@@ -481,11 +560,8 @@ def test_cli_jobs_other_than_one_exit_2(capsys, jobs):
 def test_cli_imports_no_process_machinery():
     code = ("import mvparking.cli, sys; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=_env_with_src(), check=True)
     assert result.stdout == "[]\n"
 
 
