@@ -43,8 +43,6 @@ from .sandpile import (
 )
 from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
-# Per table: the least size that gives it cells, and the default and largest size without --force.
-TABLE_GUARDS = {"bounds": (1, 13), "bipartite": (1, 7), "dec-vs-split": (3, 13), "conjecture": (3, 8)}
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
 # Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes about 1 s
@@ -118,11 +116,11 @@ def cmd_fibre(args) -> tuple[int, _Output]:
 
 
 def cmd_table(args) -> tuple[int, _Output]:
-    which = args.which
-    sizes = {"m": args.max_m, "n": args.max_n} if which == "bipartite" else {"n": args.max_n}
-    for flag, size in sizes.items():
-        _guard(args, f"{flag}={size}", size, TABLE_GUARDS[which][1], which)
-    table = getattr(tables, f"{which.replace('-', '_')}_table")(*sizes.values())
+    flags, _least, guard = tables.TABLES[args.which]
+    sizes = [getattr(args, f"max_{flag}") for flag in flags]
+    for flag, size in zip(flags, sizes):
+        _guard(args, f"{flag}={size}", size, guard, args.which)
+    table = getattr(tables, f"{args.which.replace('-', '_')}_table")(*sizes)
     return (1 if table.failures else 0), _Output(None, None, table)
 
 
@@ -237,11 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override the fibre size guard")
 
     group = operations("table", "reproduce an enumeration table", "which")
-    for which, (least, guard) in TABLE_GUARDS.items():
+    for which, (flags, least, guard) in tables.TABLES.items():
         p = operation(group, which, cmd_table, tabular)
-        if which == "bipartite":
-            p.add_argument("--max-m", type=_at_least(least), default=guard)
-        p.add_argument("--max-n", type=_at_least(least), default=guard)
+        for flag in flags:
+            p.add_argument(f"--max-{flag}", type=_at_least(least), default=guard)
         p.add_argument("--jobs", type=int, choices=[1], default=1,
                        help="accepted so existing command lines parse; only 1")
         p.add_argument("--force", action="store_true", help="override the size guard")

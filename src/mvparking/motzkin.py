@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .parking import _mvp, _park, check_preference
 from .perms import dec
-from .subgraphs import _induced_pf
+from .subgraphs import _check_arc_pairs, _induced_pf
 
 __all__ = [
     "NotAMotzkinParkingFunction",
@@ -50,7 +50,9 @@ __all__ = [
 
 def motzkin_numbers(upto: int) -> list[int]:
     """M_0..M_upto (A001006): M_0 = M_1 = 1, M_n = M_{n-1} + sum_k M_k M_{n-2-k}."""
-    m = [1, 1]
+    if upto < 0:
+        raise ValueError(f"need upto >= 0, got {upto}")
+    m = [1, 1][:upto + 1]
     for n in range(2, upto + 1):
         m.append(m[n - 1] + sum(m[k] * m[n - 2 - k] for k in range(n - 1)))
     return m
@@ -164,17 +166,15 @@ def is_noncrossing_matching(arcs: Iterable[tuple[int, int]], n: int) -> bool:
 
     A matching is non-crossing exactly when reading its Motzkin path back
     gives the same arcs: each D closes the nearest open U, so a crossing
-    pair comes back nested.
+    pair comes back nested.  A well-formed arc ending above n gives False.
     """
-    pairs = [tuple(a) for a in arcs]
+    pairs = _check_arc_pairs(arcs)
     seen: set[int] = set()
     for j, i in pairs:
-        if not 1 <= j < i <= n:
-            return False
-        if j in seen or i in seen:
+        if i > n or j in seen or i in seen:
             return False
         seen.update((j, i))
-    return _path_matching(noncross_to_motzkin(pairs, n)) == set(pairs)
+    return _path_matching(noncross_to_motzkin(pairs, n)) == pairs
 
 
 def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -204,7 +204,9 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 def noncross_to_motzkin(arcs: Iterable[tuple[int, int]], n: int) -> str:
     """U at arc openers, D at arc closers, H at isolated vertices."""
     steps = ["H"] * n
-    for j, i in arcs:
+    for j, i in _check_arc_pairs(arcs):
+        if i > n:
+            raise ValueError(f"arc ({j},{i}) ends outside [1, {n}]")
         steps[j - 1] = "U"
         steps[i - 1] = "D"
     return "".join(steps)
@@ -230,7 +232,7 @@ def prime_decomposition(arcs: Iterable[tuple[int, int]], n: int) -> list[tuple[i
     interval: an outermost arc spans its interval, and a vertex outside
     every arc is a singleton.
     """
-    pairs = frozenset(tuple(a) for a in arcs)
+    pairs = _check_arc_pairs(arcs)
     if not is_noncrossing_matching(pairs, n):
         raise NotANonCrossingMatching(f"{sorted(pairs)} on [{n}]")
     intervals: list[tuple[int, int]] = []
@@ -266,7 +268,7 @@ def dec_to_split_subgraph(arcs: Iterable[tuple[int, int]], n: int) -> frozenset[
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    sub = frozenset(tuple(a) for a in arcs)
+    sub = _check_arc_pairs(arcs)
     if not is_noncrossing_matching(sub, n):
         raise NotANonCrossingMatching(f"{sorted(sub)} on [{n}]")
     last = (n - 1, n)

@@ -130,6 +130,8 @@ def edges_acyclic(edges: Iterable[tuple[int, int]], n: int) -> bool:
         return x
 
     for a, b in edges:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"edge ({a},{b}) has a vertex outside 1..{n}")
         ra, rb = find(a), find(b)
         if ra == rb:
             return False

@@ -173,14 +173,13 @@ def is_hs(arcs: Iterable[tuple[int, int]]) -> bool:
 
 
 def _is_hs(pairs) -> bool:
-    """`is_hs` on checked arcs."""
-    pairs = sorted(pairs)
-    for a in range(len(pairs)):
-        ja, ia = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            jb, ib = pairs[b]
-            if not (ia < jb or ib < ja):
-                return False
+    """`is_hs` on checked arcs: sorted by source, pairwise disjoint spans have
+    increasing ends, so each arc need only start right of the previous end."""
+    end = 0
+    for j, i in sorted(pairs):
+        if j <= end:
+            return False
+        end = i
     return True
 
 
@@ -256,12 +255,15 @@ def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
     n = len(word)
     if n > BRUTE_FORCE_CAP:
         raise SizeCapExceeded(f"n={n} above brute-force cap {BRUTE_FORCE_CAP}")
-    target = [0, *word]
-    return [
-        prefs
-        for prefs in product(range(1, n + 1), repeat=n)
-        if _mvp(prefs, n) == target
-    ]
+    return [p for p, outcome in _parking_functions(n) if outcome == word]
+
+
+def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Lexicographically, each parking function of length n with its MVP outcome."""
+    for p in product(range(1, n + 1), repeat=n):
+        spots = _mvp(p, n)
+        if spots is not None:
+            yield p, tuple(spots[1:])
 
 
 def fibre_size(pi: Iterable[int]) -> int:
@@ -280,22 +282,31 @@ def fibre_size(pi: Iterable[int]) -> int:
 
 
 def _fibre_size(word) -> int:
+    return _run_counter()(bytes(_capped(word)))
+
+
+def _run_counter():
+    """A fresh `count(run)` of `fibre_size`, on bytes.  Its memo, shared by every run it
+    counts, holds only shorter sub-runs: words of one length never recur in each other."""
     memo: dict[bytes, int] = {}  # smaller than tuples, and in fewer allocator size classes
 
     def count(run):
+        p = run.index(max(run))
+        head, tail = run[:p], run[p + 1:]
+        ways = sub(head) * sub(tail)
+        for q, b in enumerate(tail):
+            ways += sub(head + _BYTE[b] + tail[:q]) * sub(tail[q + 1:])
+        return ways
+
+    def sub(run):
         if len(run) < 2:
             return 1
         ways = memo.get(run)
         if ways is None:
-            p = run.index(max(run))
-            head, tail = run[:p], run[p + 1:]
-            ways = count(head) * count(tail)
-            for q, b in enumerate(tail):
-                ways += count(head + _BYTE[b] + tail[:q]) * count(tail[q + 1:])
-            memo[run] = ways
+            ways = memo[run] = count(run)
         return ways
 
-    return count(bytes(_capped(word)))
+    return count
 
 
 def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:

@@ -1,12 +1,11 @@
 """Report tables for the desk-scale enumerations, with CSV/JSON rendering.
 
-Every cell is an exact count: fibre sizes come from `fibre_size`, a
-recursion over the occupied runs met un-parking the cars, the P2-free
-and HS counts from their dynamic programs over the vertices, and each
-conjecture row from `outcome_distribution`, one forward pass over the whole
-outcome map of S_n; no cell walks subgraphs or reads a stored table.
-A table lists each identity check it failed in `failures`, which no
-renderer writes.
+Every cell is an exact count from one engine, `fibre_size`'s recursion over
+the occupied runs met un-parking the cars, or from the P2-free and HS
+dynamic programs.  A conjecture row counts all of S_n through one run
+counter, whose memo serves the runs its permutations share.  `TABLES`
+declares each table's sizes and guard.  A table lists each identity check
+it failed in `failures`, which no renderer writes.
 """
 
 from __future__ import annotations
@@ -16,14 +15,17 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import comb
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import DISTRIBUTION_CAP, SizeCapExceeded, bounds, fibre_size, outcome_distribution
+from .subgraphs import SizeCapExceeded, _run_counter, bounds, fibre_size
 
 __all__ = [
+    "CONJECTURE_CAP",
     "ReportTable",
+    "TABLES",
     "bipartite_table",
     "bounds_table",
     "conjecture_table",
@@ -35,6 +37,14 @@ __all__ = [
 ]
 
 Cell = int | str
+
+# Per table `<name>_table`: (the sizes its builder reads, in order, the least size that gives
+# cells, and the default and largest size the CLI runs without --force).
+TABLES = {"bounds": (("n",), 1, 13), "bipartite": (("m", "n"), 1, 7),
+          "dec-vs-split": (("n",), 3, 13), "conjecture": (("n",), 3, 8)}
+# Largest `conjecture_table` size, --force or not: n <= 10 takes 21-22 s at 126 MiB peak RSS on
+# a 2-vCPU VM (n <= 9: 1.8-2.4 s at 30 MiB), and n = 11 would need roughly ten times both.
+CONJECTURE_CAP = 10
 
 
 @dataclass
@@ -55,6 +65,14 @@ class ReportTable:
         return [row[k] for row in self.rows]
 
 
+def _report(name: str, headers: list[str], rows, check, **metadata) -> ReportTable:
+    """Build the lazy `rows`, timed as `wall_time_s`, and record what `check(rows)` fails."""
+    t0 = time.perf_counter()
+    rows = list(rows)
+    metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
+    return ReportTable(name, headers, rows, metadata, check(rows))
+
+
 def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
     """Check each row against the known counts on dec(n): valid = Motzkin,
     P2-free = Bell, HS = 2^(n-1), and the sandwich between them."""
@@ -73,16 +91,11 @@ def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
 
 def bounds_table(max_n: int) -> ReportTable:
     """Subgraph/P2-free/valid/HS counts for the decreasing permutation."""
-    t0 = time.perf_counter()
-    rows = [[n, (b := bounds(dec(n))).product_upper, b.p2free_count, b.fibre_size, b.hs_count]
-            for n in range(1, max_n + 1)]
-    return ReportTable(
-        name="bounds",
-        headers=["n", "subgraphs", "p2free", "valid", "hs"],
-        rows=rows,
-        metadata={"max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
-        failures=_bounds_failures(rows),
-    )
+    return _report(
+        "bounds", ["n", "subgraphs", "p2free", "valid", "hs"],
+        ([n, (b := bounds(dec(n))).product_upper, b.p2free_count, b.fibre_size, b.hs_count]
+         for n in range(1, max_n + 1)),
+        _bounds_failures, max_n=max_n)
 
 
 def bipartite_table(max_m: int, max_n: int) -> ReportTable:
@@ -92,23 +105,21 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
     The m = 1 column and the n = 1 row avoid 321 and 3412, so thm-2.8's
     product formula gives 2^n and m + 1 there.
     """
-    t0 = time.perf_counter()
-    rows = [[n, *(fibre_size(bipart(m, n)) for m in range(1, max_m + 1))]
-            for n in range(1, max_n + 1)]
-    failures = [f"FAIL bipartite m={m}: n=2 fibre is {size}, not m+1+floor((m+1)^2/2) = {want}"
-                for m, size in enumerate(rows[1][1:] if max_n >= 2 else (), start=1)
-                if size != (want := m + 1 + (m + 1) ** 2 // 2)]
-    cells = [(1, n, 2 ** n, "2^n") for n in range(1, max_n + 1)]
-    cells += [(m, 1, m + 1, "m+1") for m in range(2, max_m + 1)]
-    failures += [f"FAIL bipartite m={m} n={n}: fibre is {rows[n - 1][m]}, not thm-2.8's {rule} = {want}"
-                 for m, n, want, rule in cells if rows[n - 1][m] != want]
-    return ReportTable(
-        name="bipartite",
-        headers=["n"] + [f"m{m}" for m in range(1, max_m + 1)],
-        rows=rows,
-        metadata={"max_m": max_m, "max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
-        failures=failures,
-    )
+    def check(rows):
+        failures = [f"FAIL bipartite m={m}: n=2 fibre is {size}, not m+1+floor((m+1)^2/2) = {want}"
+                    for m, size in enumerate(rows[1][1:] if max_n >= 2 else (), start=1)
+                    if size != (want := m + 1 + (m + 1) ** 2 // 2)]
+        cells = [(1, n, 2 ** n, "2^n") for n in range(1, max_n + 1)]
+        cells += [(m, 1, m + 1, "m+1") for m in range(2, max_m + 1)]
+        return failures + [
+            f"FAIL bipartite m={m} n={n}: fibre is {rows[n - 1][m]}, not thm-2.8's {rule} = {want}"
+            for m, n, want, rule in cells if rows[n - 1][m] != want]
+
+    return _report(
+        "bipartite", ["n"] + [f"m{m}" for m in range(1, max_m + 1)],
+        ([n, *(fibre_size(bipart(m, n)) for m in range(1, max_m + 1))]
+         for n in range(1, max_n + 1)),
+        check, max_m=max_m, max_n=max_n)
 
 
 def dec_vs_split_table(max_n: int) -> ReportTable:
@@ -116,32 +127,32 @@ def dec_vs_split_table(max_n: int) -> ReportTable:
 
     The dec column is checked against the Motzkin numbers.
     """
-    t0 = time.perf_counter()
-    rows = [[n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))]
-            for n in range(3, max_n + 1)]
-    motzkin = motzkin_numbers(max_n)
-    failures = [f"FAIL dec-vs-split n={n}: dec fibre is {size}, not Motzkin(n) = {motzkin[n]}"
-                for n, size, _ in rows if size != motzkin[n]]
-    return ReportTable(
-        name="dec-vs-split",
-        headers=["n", "dec", "split"],
-        rows=rows,
-        metadata={"max_n": max_n, "wall_time_s": round(time.perf_counter() - t0, 3)},
-        failures=failures,
-    )
+    motzkin = motzkin_numbers(max(max_n, 0))
+    return _report(
+        "dec-vs-split", ["n", "dec", "split"],
+        ([n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))] for n in range(3, max_n + 1)),
+        lambda rows: [f"FAIL dec-vs-split n={n}: dec fibre is {size}, not Motzkin(n) = {motzkin[n]}"
+                      for n, size, _ in rows if size != motzkin[n]],
+        max_n=max_n)
 
 
 def _conjecture_row(n: int, failures: list[str]) -> list[Cell]:
-    sizes = outcome_distribution(n)
+    count = _run_counter()
+    total, best, argmax = 0, -1, []
+    for word in permutations(range(1, n + 1)):  # lexicographic: argmax[0] is the least
+        size = count(bytes(word))
+        total += size
+        if size > best:
+            best, argmax = size, []
+        if size == best:
+            argmax.append(word)
     parking_functions = (n + 1) ** (n - 1)
-    if sum(sizes.values()) != parking_functions:
-        failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {sum(sizes.values())}, "
+    if total != parking_functions:
+        failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {total}, "
                         f"not (n+1)^(n-1) = {parking_functions}")
-    best = max(sizes.values())
-    argmax = [word for word, size in sizes.items() if size == best]
-    split_size = sizes[split_right(2, n - 2)]
-    return [n, best, len(argmax), split_size, sizes[dec(n)],
-            "yes" if split_size == best else "no", format_permutation(min(argmax))]
+    split_size = count(bytes(split_right(2, n - 2)))
+    return [n, best, len(argmax), split_size, count(bytes(dec(n))),
+            "yes" if split_size == best else "no", format_permutation(argmax[0])]
 
 
 def conjecture_table(max_n: int) -> ReportTable:
@@ -149,22 +160,16 @@ def conjecture_table(max_n: int) -> ReportTable:
 
     Data for the largest-fibre question only; proves nothing.  Each row
     checks that its fibres partition the (n+1)^(n-1) parking functions.
-    Refuses max_n above `DISTRIBUTION_CAP` before the first row.
+    Refuses max_n above `CONJECTURE_CAP` before the first row.
     """
-    if max_n > DISTRIBUTION_CAP:
-        raise SizeCapExceeded(f"conjecture n={max_n} above outcome distribution cap {DISTRIBUTION_CAP}")
-    t0 = time.perf_counter()
+    if max_n > CONJECTURE_CAP:
+        raise SizeCapExceeded(f"conjecture n={max_n} above conjecture cap {CONJECTURE_CAP}")
     failures: list[str] = []
-    rows = [_conjecture_row(n, failures) for n in range(3, max_n + 1)]
-    return ReportTable(
-        name="conjecture",
-        headers=["n", "max_fibre", "argmax_count", "split_fibre", "dec_fibre",
-                 "split_is_max", "first_argmax"],
-        rows=rows,
-        metadata={"max_n": max_n, "exhaustive_over": "S_n",
-                  "wall_time_s": round(time.perf_counter() - t0, 3)},
-        failures=failures,
-    )
+    return _report(
+        "conjecture", ["n", "max_fibre", "argmax_count", "split_fibre", "dec_fibre",
+                       "split_is_max", "first_argmax"],
+        (_conjecture_row(n, failures) for n in range(3, max_n + 1)),
+        lambda rows: failures, max_n=max_n, exhaustive_over="S_n")
 
 
 def render_pretty(table: ReportTable) -> str:

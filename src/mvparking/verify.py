@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator
 
 from .motzkin import (
     _popularity_path,
@@ -52,6 +51,7 @@ from .subgraphs import (
     _induced_pf,
     _is_hs,
     _is_p2_free,
+    _parking_functions,
     count_one_subgraphs,
     enumerate_one_subgraphs,
     fibre_size,
@@ -84,15 +84,6 @@ class SuiteResult:
 class _Counterexample(Exception):
     """Raised by a suite at its first failing case, with the arguments
     (cases checked so far, what was checked, the counterexample)."""
-
-
-def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each parking function of length n with its MVP outcome, from the one
-    simulation that tells it apart in the n^n scan."""
-    for p in product(range(1, n + 1), repeat=n):
-        spots = _mvp(p, n)
-        if spots is not None:
-            yield p, tuple(spots[1:])
 
 
 def _suite_thm_2_5(n_cap: int, seed: int) -> tuple[int, str]:
@@ -196,7 +187,7 @@ def _suite_thm_3_2(n_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_thm_3_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    motzkin = motzkin_numbers(n_cap)
+    motzkin = motzkin_numbers(max(n_cap, 0))
     for n in range(1, n_cap + 1):
         noncross = set(noncrossing_matchings(n))
         valid = set(valid_subgraphs(dec(n)))

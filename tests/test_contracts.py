@@ -161,6 +161,19 @@ BAD_SUBGRAPHS = [  # (label, arcs, permutation, exception, message)
      "vertex 3 has two incident left-arcs"),
 ]
 
+MALFORMED = "malformed arc {}: need integers 1 <= j < i"
+BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
+    ("arc beyond n", motzkin.noncross_to_motzkin, ([(1, 5)], 3), "arc (1,5) ends outside [1, 3]"),
+    ("arc from 0", motzkin.noncross_to_motzkin, ([(0, 2)], 3), MALFORMED.format((0, 2))),
+    ("bool arc source", motzkin.is_noncrossing_matching, ([(True, 2)], 3),
+     MALFORMED.format((True, 2))),
+    ("bool arc source", motzkin.prime_decomposition, ([(True, 2)], 3), MALFORMED.format((True, 2))),
+    ("bool arc source", motzkin.dec_to_split_subgraph, ([(True, 2)], 3),
+     MALFORMED.format((True, 2))),
+    ("edge beyond n", perms.edges_acyclic, ([(1, 5)], 3), "edge (1,5) has a vertex outside 1..3"),
+    ("negative count", motzkin.motzkin_numbers, (-1,), "need upto >= 0, got -1"),
+]
+
 
 def _bad_calls():
     for label, prefs, exc, message in BAD_PREFERENCES:
@@ -173,6 +186,8 @@ def _bad_calls():
     for label, arcs, word, exc, message in BAD_SUBGRAPHS:
         for fn in SUBGRAPH_CALLS:
             yield pytest.param(fn, (arcs, word), exc, message, id=f"{fn.__name__}-{label}")
+    for label, fn, args, message in BAD_ARCS:
+        yield pytest.param(fn, args, ValueError, message, id=f"{fn.__name__}-{label}")
 
 
 @pytest.mark.parametrize("fn, args, exc, message", _bad_calls())
@@ -187,3 +202,5 @@ def test_bad_inputs_that_are_answers_not_errors():
     assert is_recurrent((2, 1, 1)) is True
     assert minrec((2, 1, 1)) == (2, 0, 1)
     assert minrec_classical((2, 1, 1)) == (2, 1, 0)
+    assert [motzkin.motzkin_numbers(upto) for upto in range(3)] == [[1], [1, 1], [1, 1, 2]]
+    assert motzkin.is_noncrossing_matching([(1, 5)], 3) is False

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvparking import subgraphs
 from mvparking.motzkin import motzkin_numbers
-from mvparking.parking import displacement_mvp, is_parking_function
+from mvparking.parking import displacement_mvp, is_parking_function, outcome_mvp
 from mvparking.perms import bipart, dec, split_right
 from mvparking.subgraphs import (
     FIBRE_CAP,
@@ -205,6 +205,14 @@ def test_fibre_size_matches_outcome_distribution_on_a_sample_of_s8():
     sizes = outcome_distribution(8)
     for word in random.Random(8).sample(sorted(sizes), 300):
         assert fibre_size(word) == sizes[word], word
+
+
+def test_the_n10_conjecture_witnesses():
+    # the n = 10 conjecture row: 9,10,8,6,7,5,4,3,2,1 has a larger fibre than split_right(2, 8)
+    for word, size in [((9, 10, 8, 6, 7, 5, 4, 3, 2, 1), 2400), (split_right(2, 8), 2383)]:
+        members = fibre_via_subgraphs(word)
+        assert fibre_size(word) == len(members) == len(set(members)) == size
+        assert all(outcome_mvp(prefs).outcome == word for prefs in members)
 
 
 def test_pinned_walk_counters():

@@ -6,14 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
-from itertools import permutations
 from math import prod
 from pathlib import Path
 
 import pytest
 
 from mvparking import cli, subgraphs, tables, verify
-from mvparking.perms import bipart
+from mvparking.perms import bipart, dec, format_permutation, split_right
 
 
 def test_report_table_arity_checked():
@@ -53,6 +52,16 @@ def test_conjecture_table_small():
     assert by_n[5][t.headers.index("split_fibre")] == 20
     assert by_n[5][t.headers.index("split_is_max")] == "no"
     assert by_n[4][t.headers.index("argmax_count")] == 2
+
+
+def test_conjecture_rows_equal_the_rows_read_from_the_forward_program():
+    for n, row in zip(range(3, 9), tables.conjecture_table(8).rows, strict=True):
+        sizes = subgraphs.outcome_distribution(n)
+        best = max(sizes.values())
+        argmax = [word for word, size in sizes.items() if size == best]
+        split = sizes[split_right(2, n - 2)]
+        assert row == [n, best, len(argmax), split, sizes[dec(n)],
+                       "yes" if split == best else "no", format_permutation(min(argmax))]
 
 
 def test_csv_round_trip():
@@ -358,14 +367,14 @@ def test_cli_table_force_overrides_guard(capsys):
     assert rows[-1] == [14, 87178291200, 190899322, 113634, 8192]
 
 
-def test_cli_conjecture_above_the_distribution_cap_exits_2_at_once(capsys, monkeypatch):
+def test_cli_conjecture_above_its_cap_exits_2_at_once(capsys, monkeypatch):
     def row(*_args):
         raise AssertionError("a row was built before the cap was checked")
 
     monkeypatch.setattr(tables, "_conjecture_row", row)
-    code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "10", "--force")
+    code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "11", "--force")
     assert code == 2 and not out
-    assert err.startswith("error: conjecture n=10 above outcome distribution cap 9")
+    assert err == "error: conjecture n=11 above conjecture cap 10\n"
 
 
 def test_cli_verify(capsys):
@@ -420,8 +429,8 @@ def _guarded_operations():
     is declared: (argv, the refusal's message, module and name of the worker
     that must not run before the check, what a stub of that worker returns)."""
     stub_table = tables.ReportTable("stub", ["n"], [[1]])
-    for which, (_least, guard) in cli.TABLE_GUARDS.items():
-        for flag in ("m", "n") if which == "bipartite" else ("n",):
+    for which, (flags, _least, guard) in tables.TABLES.items():
+        for flag in flags:
             yield pytest.param(
                 ["table", which, f"--max-{flag}", str(guard + 1)],
                 f"{flag}={guard + 1} above guard {guard} for {which}",
@@ -581,8 +590,7 @@ def test_cli_table_rejects_sizes_without_cells(capsys, argv):
 def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "3")
     assert code == 0 and not err
-    monkeypatch.setattr(tables, "outcome_distribution",
-                        lambda n: dict.fromkeys(permutations(range(1, n + 1)), 0))
+    monkeypatch.setattr(tables, "_run_counter", lambda: lambda run: 0)
     code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "3", "--format", "csv")
     assert code == 1 and out.startswith("n,max_fibre")
     assert err == "FAIL conjecture n=3: fibre sizes sum to 0, not (n+1)^(n-1) = 16\n"
