@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import ge
 from typing import Iterable, NamedTuple
 
-from .parking import _park, check_preference
+from .parking import NotAParkingFunction, check_preference
 
 __all__ = [
     "MinrecStep",
@@ -271,6 +271,7 @@ def mvp_outcome_via_sandpile(p: Iterable[int]) -> tuple[int, ...]:
     """MVP outcome computed on the sandpile side: complement, reduce to a
     minimal recurrent configuration, read off its canonical toppling."""
     prefs = check_preference(p)
-    _park(prefs)
-    n = len(prefs)
-    return _canonical_toppling(_minrec(tuple(n - x for x in prefs), classical=False))
+    try:  # the complement is recurrent exactly when p parks
+        return _canonical_toppling(_minrec(tuple(len(prefs) - x for x in prefs), classical=False))
+    except NotRecurrent:
+        raise NotAParkingFunction(f"{prefs} is not a parking function") from None

@@ -130,8 +130,8 @@ def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
 
 
 def _induced_pf(arcs, word) -> tuple[int, ...]:
-    """`subgraph_to_pf` for a checked permutation."""
-    left = {i: j for j, i in _check_one_subgraph(arcs, word)}
+    """`subgraph_to_pf` on a checked 1-subgraph of a checked permutation."""
+    left = {i: j for j, i in arcs}
     prefs = [0] * len(word)
     for i, car in enumerate(word, start=1):
         prefs[car - 1] = left.get(i, i)
@@ -141,7 +141,8 @@ def _induced_pf(arcs, word) -> tuple[int, ...]:
 def subgraph_to_pf(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> tuple[int, ...]:
     """Preference induced by a 1-subgraph: the car ending in spot i prefers
     the source of its left-arc, or i itself when there is none."""
-    return _induced_pf(arcs, check_permutation(pi))
+    word = check_permutation(pi)
+    return _induced_pf(_check_one_subgraph(arcs, word), word)
 
 
 def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
@@ -151,7 +152,7 @@ def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
     invalid rather than raising.
     """
     word = check_permutation(pi)
-    return _mvp(_induced_pf(arcs, word), len(word)) == [0, *word]
+    return _mvp(_induced_pf(_check_one_subgraph(arcs, word), word), len(word)) == [0, *word]
 
 
 def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:

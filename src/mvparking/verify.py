@@ -1,10 +1,10 @@
 """Exhaustive property suites behind the `verify` CLI command.
 
-Each suite sweeps a whole family of inputs (all permutations, all parking
-functions, all subgraphs, ...) up to a size cap, checks one contract of the
-library against an independent route, and returns the number of cases
-checked with what was checked, or raises `_Counterexample` at the first
-failing case; `run_suite` turns either into a `SuiteResult`.  `SUITES`
+Each suite generates a family of inputs (all permutations, all parking functions,
+all subgraphs, ...) up to a size cap and checks each case as it is generated against
+an independent route, taking any fibre size it compares with from `fibre_size`.  It
+returns the cases checked with what was checked, or raises `_Counterexample` at the
+first failing case; `run_suite` turns either into a `SuiteResult`.  `SUITES`
 declares each suite's cap (`n` or `m`), its default and the CLI's guard.
 
 A suite builds its own cases, so it calls the private kernels behind the
@@ -116,16 +116,12 @@ def _suite_thm_2_8(n_cap: int, seed: int) -> tuple[int, str]:
             checked += 1
             by_pattern = inversion_graph_acyclic(word)
             by_search = edges_acyclic(inversions(word), n)
-            n_sub = count_one_subgraphs(word)
-            all_valid = len(valid_subgraphs(word)) == n_sub
+            all_valid = fibre_size(word) == count_one_subgraphs(word)
             if not (by_pattern == by_search == all_valid):
                 raise _Counterexample(
                     checked, "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
                     f"pi={format_permutation(word)}: patterns={by_pattern} "
                     f"search={by_search} all_valid={all_valid}")
-            if by_pattern and fibre_size(word) != n_sub:
-                raise _Counterexample(checked, "product formula on acyclic graphs",
-                                      f"pi={format_permutation(word)}")
     return checked, (
         f"all permutations with n<={n_cap}: acyclic <=> 321/3412-avoiding <=> "
         "every 1-subgraph valid, with the product formula when acyclic")
@@ -185,18 +181,31 @@ def _suite_thm_3_2(n_cap: int, seed: int) -> tuple[int, str]:
     return checked, f"all preference vectors with n<={n_cap}: membership matches the path test"
 
 
+def _count_valid(subgraphs, word, checked, detail) -> tuple[int, int, int]:
+    """Check each arc set as it streams: its induced preference must induce it back on
+    `word`, so it is a 1-subgraph, and park to `word`.  Returns the number of arc sets,
+    of distinct preferences (held as bytes) and `fibre_size(word)`."""
+    prefs, cases = set(), 0
+    for arcs in subgraphs:
+        pref = _induced_pf(arcs, word)
+        cases += 1
+        if _induced_arcs(pref, word) != arcs or _mvp(pref, len(word)) != [0, *word]:
+            raise _Counterexample(checked + cases, detail,
+                                  f"pi={format_permutation(word)} S={{{format_arcs(arcs)}}}")
+        prefs.add(bytes(pref))
+    return cases, len(prefs), fibre_size(word)
+
+
 def _suite_thm_3_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     motzkin = motzkin_numbers(max(n_cap, 0))
+    detail = "valid decreasing subgraphs = non-crossing matchings"
     for n in range(1, n_cap + 1):
-        noncross = set(noncrossing_matchings(n))
-        valid = set(valid_subgraphs(dec(n)))
-        checked += len(noncross)
-        if noncross != valid or len(valid) != motzkin[n]:
-            raise _Counterexample(
-                checked, "valid decreasing subgraphs = non-crossing matchings",
-                f"n={n}: |noncross|={len(noncross)} |valid|={len(valid)} "
-                f"motzkin={motzkin[n]}")
+        counts = _count_valid(noncrossing_matchings(n), dec(n), checked, detail)
+        checked += counts[0]
+        if counts != (motzkin[n],) * 3:
+            raise _Counterexample(checked, detail, "n={}: |noncross|={} distinct={} fibre_size={} "
+                                  "motzkin={}".format(n, *counts, motzkin[n]))
     return checked, f"set equality and Motzkin counts for n<={n_cap}"
 
 
@@ -233,17 +242,12 @@ def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
 def _suite_thm_6_3(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(3, n_cap + 1):
-        source = valid_subgraphs(dec(n))
-        images = [dec_to_split_subgraph(s, n) for s in source]
-        checked += len(source)
-        target = set(valid_subgraphs(split_left(2, n - 2)))
-        if len(set(images)) != len(images):
-            raise _Counterexample(checked, "injectivity of the arc surgery", f"n={n}")
-        if set(images) != target:
-            missing = target - set(images)
-            extra = set(images) - target
-            raise _Counterexample(checked, "image equals the split valid set",
-                                  f"n={n}: missing={len(missing)} extra={len(extra)}")
+        images = (dec_to_split_subgraph(s, n) for s in noncrossing_matchings(n))
+        counts = _count_valid(images, split_left(2, n - 2), checked, "each image is valid")
+        checked += counts[0]
+        if len(set(counts)) > 1:
+            raise _Counterexample(checked, "the images are distinct and fill the split fibre",
+                                  "n={}: images={} distinct={} fibre_size={}".format(n, *counts))
     return checked, f"bijection onto the split permutation's valid subgraphs for n<={n_cap}"
 
 
@@ -318,10 +322,10 @@ def _suite_abelian(n_cap: int, seed: int) -> tuple[int, str]:
 
 
 # Per suite: (the suite, the cap it reads, its default, its guard).  The guard is the largest cap
-# the CLI runs without --force: the largest measured to run in at most about 1.5 minutes in
-# process on a 2-vCPU VM (CHANGES), and in under 1 GiB.  One step more multiplies the n^n scans
-# by about 20 (thm-2.5 --n 9 scans 9^9 vectors), the subgraph suites by 36, and the matching
-# suites' memory by about 3.  The library itself is unguarded.
+# the CLI runs without --force: the largest measured to run in at most about 1.5 minutes in one
+# fresh process on a 2-vCPU VM (CHANGES), and in under 1 GiB.  One step more multiplies the n^n
+# scans by about 20 (thm-2.5 --n 9 scans 9^9 vectors), the subgraph suites by 36, and the
+# matching suites by about 3 (rows).  The library itself is unguarded.
 SUITES = {
     "thm-2.5": (_suite_thm_2_5, "n", 6, 8),
     "thm-2.8": (_suite_thm_2_8, "n", 6, 8),
@@ -329,10 +333,10 @@ SUITES = {
     "prop-2.10": (_suite_prop_2_10, "n", 6, 7),
     "prop-2.11": (_suite_prop_2_11, "n", 6, 7),
     "thm-3.2": (_suite_thm_3_2, "n", 6, 7),
-    "thm-3.8": (_suite_thm_3_8, "n", 8, 15),
+    "thm-3.8": (_suite_thm_3_8, "n", 8, 17),  # n=17: 62 s at 255 MiB
     "thm-4.1": (_suite_thm_4_1, "m", 8, 130),
     "thm-5.5": (_suite_thm_5_5, "n", 6, 7),
-    "thm-6.3": (_suite_thm_6_3, "n", 8, 15),
+    "thm-6.3": (_suite_thm_6_3, "n", 8, 16),  # n=16: 42 s at 117 MiB; n=17: 118 s
     "abelian": (_suite_abelian, "n", 8, 75),
     "fibre-size": (_suite_fibre_size, "n", 7, 8),
     "subgraph-counts": (_suite_subgraph_counts, "n", 6, 7),

@@ -91,23 +91,27 @@ def test_each_public_call_validates_its_input_once(monkeypatch, fn, args):
 
 
 def test_internal_inputs_are_built_once_and_not_rechecked(monkeypatch):
-    calls = _count_calls(monkeypatch, [*VALIDATORS, (subgraphs, "left_inversion_lists")])
+    calls = _count_calls(monkeypatch, [*VALIDATORS, (subgraphs, "left_inversion_lists"),
+                                       (subgraphs, "_check_one_subgraph")])
     bounds(dec(6))
     assert calls == ["mvparking.subgraphs.check_permutation",
                      "mvparking.subgraphs.left_inversion_lists"]
     calls.clear()
     assert len(decreasing_fibre(6)) == 51 and not calls  # n is checked by dec(n)
+    assert decreasing_representative((1, 1, 3, 3)) == (3, 3, 1, 1)
+    assert calls == ["mvparking.motzkin.check_preference"]
 
 
 @pytest.mark.parametrize("suite, preference_checks", [
     ("thm-2.5", 0), ("prop-2.9", 1 + 3 + 16), ("thm-3.2", 0), ("thm-5.5", 0)])
 def test_verify_suites_do_not_recheck_the_cases_they_build(monkeypatch, suite, preference_checks):
-    """At n = 3 no suite re-validates a vector it scanned or a configuration
-    it built; prop-2.9 checks each of the 20 parking functions only inside
-    `displacement_mvp`, the public function it tests.  A permutation is
+    """At n = 3 no suite re-validates a vector it scanned, a configuration or
+    an arc set it built; prop-2.9 checks each of the 20 parking functions only
+    inside `displacement_mvp`, the public function it tests.  A permutation is
     checked at most once per word of S_1..S_3."""
-    calls = _count_calls(monkeypatch, VALIDATORS)
+    calls = _count_calls(monkeypatch, [*VALIDATORS, (subgraphs, "_check_one_subgraph")])
     assert verify.run_suite(suite, n=3).passed
+    assert "mvparking.subgraphs._check_one_subgraph" not in calls
     assert calls.count("mvparking.parking.check_preference") == preference_checks
     assert not {"mvparking.subgraphs.check_preference", "mvparking.motzkin.check_preference",
                 "mvparking.sandpile.check_preference", "mvparking.sandpile.check_config"} & {*calls}
@@ -195,6 +199,13 @@ def test_bad_input_raises_the_pinned_error(fn, args, exc, message):
     with pytest.raises(exc) as info:
         fn(*args)
     assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("fn", SUBGRAPH_CALLS, ids=lambda fn: fn.__name__)
+def test_each_public_arc_call_checks_its_arcs_once(monkeypatch, fn):
+    calls = _count_calls(monkeypatch, [(subgraphs, "_check_one_subgraph")])
+    fn(ARCS, (3, 4, 1, 2))
+    assert calls == ["mvparking.subgraphs._check_one_subgraph"]
 
 
 def test_bad_inputs_that_are_answers_not_errors():

@@ -6,7 +6,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from mvparking.parking import is_parking_function, outcome_classical, outcome_mvp
+from mvparking import parking
+from mvparking.parking import NotAParkingFunction, is_parking_function, outcome_classical, outcome_mvp
 from mvparking.sandpile import (
     NotMinimalRecurrent,
     NotRecurrent,
@@ -243,6 +244,20 @@ def test_mvp_outcome_via_sandpile():
     assert mvp_outcome_via_sandpile((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
     p = tuple(12 - x for x in BIG)
     assert mvp_outcome_via_sandpile(p) == outcome_mvp(p).outcome
+
+
+def test_sandpile_route_decides_parking_by_recurrence_alone(monkeypatch):
+    """The complement n - p is recurrent exactly when p parks, so the sandpile
+    route refuses a non-parking vector without simulating the MVP process."""
+    for n in range(1, 6):
+        for p in product(range(1, n + 1), repeat=n):
+            assert is_recurrent(tuple(n - x for x in p)) == is_parking_function(p), p
+    calls = []
+    monkeypatch.setattr(parking, "_mvp", lambda *args: calls.append(args))
+    assert mvp_outcome_via_sandpile((3, 1, 1, 2)) == (3, 4, 1, 2)
+    with pytest.raises(NotAParkingFunction, match=r"^\(3, 3, 3\) is not a parking function$"):
+        mvp_outcome_via_sandpile((3, 3, 3))
+    assert not calls
 
 
 def test_abelian_property_randomised():

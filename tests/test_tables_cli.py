@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvparking import cli, subgraphs, tables, verify
+from mvparking.motzkin import noncrossing_matchings
 from mvparking.perms import bipart, dec, format_permutation, split_right
 
 
@@ -621,24 +622,37 @@ def test_verify_failure_reports_the_first_counterexample(monkeypatch, capsys):
         "detail": "displacement equals total arc length", "counterexample": "p=1"}]
 
 
+def _first_on(n_bad, arcs):
+    """`noncrossing_matchings` with `arcs` yielded first on [n_bad]."""
+    return lambda n: [*[frozenset(arcs)] * (n == n_bad), *noncrossing_matchings(n)]
+
+
 SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, counterexample)
     ("thm-2.5", {"n": 1}, "_induced_pf", lambda arcs, word: (0,), 1, "p=1 came back as 0"),
     ("thm-2.5", {"n": 1}, "enumerate_one_subgraphs", lambda word: [frozenset()] * 2, 3,
      "pi=1 has colliding images"),
     ("thm-2.8", {"n": 1}, "edges_acyclic", lambda edges, n: False, 1,
      "pi=1: patterns=True search=False all_valid=True"),
-    ("thm-2.8", {"n": 1}, "fibre_size", lambda word: 0, 1, "pi=1"),
+    ("thm-2.8", {"n": 1}, "fibre_size", lambda word: 0, 1,
+     "pi=1: patterns=True search=True all_valid=False"),
     ("prop-2.10", {"n": 1}, "_is_p2_free", lambda pairs: False, 1, "pi=1 S={}"),
     ("prop-2.11", {"n": 1}, "valid_subgraphs", lambda word: [], 1, "pi=1 S={}"),
     ("thm-3.2", {"n": 1}, "is_motzkin_path", lambda path: False, 1, "p=1 path=H"),
     ("thm-3.8", {"n": 1}, "motzkin_numbers", lambda upto: [0] * (upto + 1), 1,
-     "n=1: |noncross|=1 |valid|=1 motzkin=0"),
+     "n=1: |noncross|=1 distinct=1 fibre_size=1 motzkin=0"),
+    ("thm-3.8", {"n": 1}, "noncrossing_matchings", lambda n: [frozenset()] * 2, 2,
+     "n=1: |noncross|=2 distinct=1 fibre_size=1 motzkin=1"),
+    ("thm-3.8", {"n": 4}, "noncrossing_matchings", _first_on(4, {(1, 3), (2, 4)}), 1 + 2 + 4 + 1,
+     "pi=4321 S={1-3,2-4}"),  # crossing: its preference parks to 4312
+    ("thm-3.8", {"n": 3}, "noncrossing_matchings", _first_on(3, {(1, 3), (2, 3)}), 1 + 2 + 1,
+     "pi=321 S={1-3,2-3}"),  # two left-arcs on 3: either one alone parks to 321
     ("thm-4.1", {"m": 0}, "fibre_via_subgraphs", lambda word: [], 1, "m=0: enumerated 0, formula 1"),
     ("thm-5.5", {"n": 1}, "_canonical_toppling", lambda cfg: (), 1, "p=1"),
     ("thm-5.5", {"n": 1}, "_classical_spots", lambda prefs, n: [0], 1, "p=1"),
-    ("thm-6.3", {"n": 3}, "dec_to_split_subgraph", lambda arcs, n: frozenset(), 4, "n=3"),
-    ("thm-6.3", {"n": 3}, "split_left", lambda m, n: tuple(range(1, m + n + 1)), 4,
-     "n=3: missing=0 extra=3"),
+    ("thm-6.3", {"n": 3}, "dec_to_split_subgraph", lambda arcs, n: frozenset(), 4,
+     "n=3: images=4 distinct=1 fibre_size=4"),
+    ("thm-6.3", {"n": 3}, "split_left", lambda m, n: tuple(range(1, m + n + 1)), 2,
+     "pi=123 S={1-2,1-3}"),
     ("abelian", {"n": 1}, "stabilise", lambda cfg: ((-1,) * len(cfg), ()), 1,
      "start=(1,): (0,) != (-1,)"),
 ]
@@ -652,6 +666,17 @@ def test_each_verify_suite_reports_an_injected_fault(monkeypatch, suite, caps, n
     monkeypatch.setattr(verify, name, fake)
     result = verify.run_suite(suite, **caps)
     assert (result.passed, result.checked, result.counterexample) == (False, checked, counterexample)
+
+
+def test_matching_and_acyclicity_suites_never_list_a_fibre(monkeypatch):
+    """thm-3.8, thm-6.3 and thm-2.8 take every fibre size from `fibre_size`
+    and check each case as it streams, holding no listed family."""
+    def refuse(*args):
+        raise AssertionError("listed a fibre")
+    monkeypatch.setattr(verify, "valid_subgraphs", refuse)
+    monkeypatch.setattr(verify, "fibre_via_subgraphs", refuse)
+    for name in ("thm-3.8", "thm-6.3", "thm-2.8"):
+        assert verify.run_suite(name).passed, name
 
 
 def test_every_verify_suite_checks_the_closed_form_number_of_cases():
