@@ -21,7 +21,6 @@ n (n-1) ... 3 1 2.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 from .parking import _mvp, _park, check_preference
@@ -72,9 +71,8 @@ class NotANonCrossingMatching(ValueError):
 
 def check_path(path: str) -> str:
     """Validate the step alphabet (U/H/D only); returns the path."""
-    bad = set(path) - {"U", "H", "D"}
-    if bad:
-        raise ValueError(f"steps {sorted(bad)} not in alphabet U/H/D")
+    if not frozenset("UHD").issuperset(path):
+        raise ValueError(f"steps {sorted(set(path) - set('UHD'))} not in alphabet U/H/D")
     return path
 
 
@@ -83,13 +81,16 @@ def preference_path(p: Iterable[int]) -> str:
     return _popularity_path(check_preference(p))
 
 
+def _spot_counts(prefs) -> list[int]:
+    """count[j] is the number of cars preferring spot j; count[0] is unused."""
+    count = [0] * (len(prefs) + 1)
+    for s in prefs:
+        count[s] += 1
+    return count
+
+
 def _popularity_path(prefs) -> str:
-    count = Counter(prefs)
-    steps = []
-    for j in range(1, len(prefs) + 1):
-        k = count.get(j, 0)
-        steps.append("U" if k >= 2 else "H" if k == 1 else "D")
-    return "".join(steps)
+    return "".join(["U" if k >= 2 else "H" if k else "D" for k in _spot_counts(prefs)[1:]])
 
 
 def is_motzkin_path(path: str) -> bool:
@@ -137,7 +138,7 @@ def is_motzkin_pf(p: Iterable[int]) -> bool:
 
 def _is_motzkin_pf(prefs) -> bool:
     _park(prefs)  # raises NotAParkingFunction
-    return max(Counter(prefs).values()) <= 2
+    return max(_spot_counts(prefs)) <= 2
 
 
 def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
@@ -168,13 +169,15 @@ def is_noncrossing_matching(arcs: Iterable[tuple[int, int]], n: int) -> bool:
     gives the same arcs: each D closes the nearest open U, so a crossing
     pair comes back nested.  A well-formed arc ending above n gives False.
     """
-    pairs = _check_arc_pairs(arcs)
-    seen: set[int] = set()
-    for j, i in pairs:
-        if i > n or j in seen or i in seen:
-            return False
-        seen.update((j, i))
-    return _path_matching(noncross_to_motzkin(pairs, n)) == pairs
+    return _is_noncrossing(_check_arc_pairs(arcs), n)
+
+
+def _is_noncrossing(pairs, n) -> bool:
+    """`is_noncrossing_matching` on checked arcs."""
+    ends = [v for arc in pairs for v in arc]
+    if len(set(ends)) < len(ends) or max(ends, default=0) > n:
+        return False
+    return _path_matching(_noncross_path(pairs, n)) == pairs
 
 
 def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -203,8 +206,13 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 def noncross_to_motzkin(arcs: Iterable[tuple[int, int]], n: int) -> str:
     """U at arc openers, D at arc closers, H at isolated vertices."""
+    return _noncross_path(_check_arc_pairs(arcs), n)
+
+
+def _noncross_path(pairs, n) -> str:
+    """`noncross_to_motzkin` on checked arcs; still refuses an arc ending above n."""
     steps = ["H"] * n
-    for j, i in _check_arc_pairs(arcs):
+    for j, i in pairs:
         if i > n:
             raise ValueError(f"arc ({j},{i}) ends outside [1, {n}]")
         steps[j - 1] = "U"
@@ -228,21 +236,18 @@ def _path_matching(path: str) -> frozenset[tuple[int, int]]:
 def prime_decomposition(arcs: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     """Maximal factors of a non-crossing matching, as intervals partitioning [n].
 
-    Each return of the matching's Motzkin path to height 0 closes one
-    interval: an outermost arc spans its interval, and a vertex outside
-    every arc is a singleton.
+    Left to right, each interval starts at the first vertex no earlier
+    interval covers: an outermost arc spans its interval, and a vertex
+    outside every arc is a singleton.
     """
     pairs = _check_arc_pairs(arcs)
-    if not is_noncrossing_matching(pairs, n):
+    if not _is_noncrossing(pairs, n):
         raise NotANonCrossingMatching(f"{sorted(pairs)} on [{n}]")
-    intervals: list[tuple[int, int]] = []
-    height = 0
-    for k, step in enumerate(noncross_to_motzkin(pairs, n), start=1):
-        if not height:
-            start = k
-        height += (step == "U") - (step == "D")
-        if not height:
-            intervals.append((start, k))
+    end = dict(pairs)
+    intervals, k = [], 1
+    while k <= n:
+        intervals.append((k, end.get(k, k)))
+        k = intervals[-1][1] + 1
     return intervals
 
 
@@ -269,7 +274,7 @@ def dec_to_split_subgraph(arcs: Iterable[tuple[int, int]], n: int) -> frozenset[
     if n < 3:
         raise ValueError("need n >= 3")
     sub = _check_arc_pairs(arcs)
-    if not is_noncrossing_matching(sub, n):
+    if not _is_noncrossing(sub, n):
         raise NotANonCrossingMatching(f"{sorted(sub)} on [{n}]")
     last = (n - 1, n)
     if last not in sub:

@@ -52,13 +52,13 @@ class MvpOutcome(NamedTuple):
 
 
 def check_preference(p: Iterable[int]) -> tuple[int, ...]:
-    """Validate a preference vector: non-empty, integer entries in [1, n]."""
+    """Validate a preference vector: non-empty, exact int entries in [1, n]."""
     prefs = tuple(p)
     n = len(prefs)
     if n == 0:
         raise ValueError("preference vector must be non-empty")
     for x in prefs:
-        if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
+        if type(x) is not int or not 1 <= x <= n:
             raise ValueError(f"preference entry {x!r} outside [1, {n}]")
     return prefs
 

@@ -78,12 +78,12 @@ class MinrecStep(NamedTuple):
 
 
 def check_config(c: Iterable[int]) -> tuple[int, ...]:
-    """Validate a configuration: non-empty, integer entries >= 0."""
+    """Validate a configuration: non-empty, exact int entries >= 0."""
     cfg = tuple(c)
     if not cfg:
         raise ValueError("configuration must be non-empty")
     for x in cfg:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError(f"grain count {x!r} is not a non-negative integer")
     return cfg
 
@@ -184,10 +184,12 @@ def is_min_recurrent(c: Iterable[int]) -> bool:
 
 def _canonical_toppling(cfg) -> tuple[int, ...]:
     n = len(cfg)
-    if sorted(cfg) != list(range(n)):
-        raise NotMinimalRecurrent(f"{cfg} is not a permutation of 0..{n - 1}")
-    where = {v: k + 1 for k, v in enumerate(cfg)}
-    return tuple(where[n - i] for i in range(1, n + 1))
+    order = [0] * n
+    for k, v in enumerate(cfg, start=1):
+        if v >= n or order[n - 1 - v]:
+            raise NotMinimalRecurrent(f"{cfg} is not a permutation of 0..{n - 1}")
+        order[n - 1 - v] = k
+    return tuple(order)
 
 
 def canonical_toppling(c: Iterable[int]) -> tuple[int, ...]:
@@ -216,27 +218,27 @@ def _minrec(cfg, classical, steps=None) -> tuple[int, ...]:
     """Shared pass behind minrec and its classical variant, on a checked
     configuration; raises NotRecurrent first if it is not recurrent.
 
-    Left to right, `where` maps each value seen so far to its index, and
-    these values stay distinct.  When index j repeats a value, one of the
-    pair drops to the largest smaller value not held among indices 1..j:
-    the earlier index for the MVP variant, j itself for the classical one.
-    Each decrement is appended to `steps` as a MinrecStep when a list is
-    passed; the untraced calls build no log.
+    Left to right, `where[v]` is the index holding value v so far, 0 if
+    none, and the values held stay distinct.  When index j repeats a value,
+    one of the pair drops to the largest smaller value not held among
+    indices 1..j: the earlier index for the MVP variant, j itself for the
+    classical one.  With value v as spot n - v, that is the MVP (classical)
+    rule on the complement n - c, a parking function since c is recurrent,
+    so no car drives past spot n: no value drops below 0, where `where[-1]`
+    would wrap silently.  Each decrement is appended to `steps` as a
+    MinrecStep when a list is passed; the untraced calls build no log.
     """
     if not _is_recurrent(cfg):
         raise NotRecurrent(f"{cfg} is not recurrent")
     values = list(cfg)
-    where: dict[int, int] = {}
+    where = [0] * len(values)  # recurrent, so stable: every value is below n
     for j, v in enumerate(values, start=1):
-        if v not in where:
+        if not where[v]:
             where[v] = j
             continue
-        if classical:
-            t = j
-        else:
-            t, where[v] = where[v], j
+        t, where[v] = (j, where[v]) if classical else (where[v], j)  # t is the index that drops
         after = v - 1
-        while after in where:
+        while where[after]:
             after -= 1
         values[t - 1] = after
         where[after] = t

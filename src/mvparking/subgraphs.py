@@ -131,10 +131,12 @@ def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
 
 def _induced_pf(arcs, word) -> tuple[int, ...]:
     """`subgraph_to_pf` on a checked 1-subgraph of a checked permutation."""
-    left = {i: j for j, i in arcs}
+    spot = list(range(len(word) + 1))  # spot[i]: where the car parked in spot i prefers
+    for j, i in arcs:
+        spot[i] = j
     prefs = [0] * len(word)
     for i, car in enumerate(word, start=1):
-        prefs[car - 1] = left.get(i, i)
+        prefs[car - 1] = spot[i]
     return tuple(prefs)
 
 

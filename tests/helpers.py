@@ -6,6 +6,7 @@ counting and generation checks are two-sided.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 
@@ -63,8 +64,35 @@ def brute_noncrossing(n: int) -> set[frozenset[tuple[int, int]]]:
     return found
 
 
+def height_zero_intervals(path: str) -> list[tuple[int, int]]:
+    """Intervals of a Motzkin path between consecutive returns to height 0."""
+    intervals, height = [], 0
+    for k, step in enumerate(path, start=1):
+        if not height:
+            start = k
+        height += (step == "U") - (step == "D")
+        if not height:
+            intervals.append((start, k))
+    return intervals
+
+
 def all_preferences(n: int):
     return product(range(1, n + 1), repeat=n)
+
+
+def popularity_path(prefs) -> str:
+    """U/H/D per spot 1..n preferred by >= 2 / 1 / 0 cars, counted by a Counter."""
+    count = Counter(prefs)
+    return "".join("U" if count[j] >= 2 else "H" if count[j] == 1 else "D"
+                   for j in range(1, len(prefs) + 1))
+
+
+def induced_pf(arcs, word) -> tuple[int, ...]:
+    """Preference induced by a 1-subgraph of `word`, from a target -> source dict:
+    the car in spot i prefers the source of the arc into i, or i itself."""
+    source = {i: j for j, i in arcs}
+    spot_of = {car: i for i, car in enumerate(word, start=1)}
+    return tuple(source.get(spot_of[car], spot_of[car]) for car in range(1, len(word) + 1))
 
 
 def mvp_outcome(prefs) -> tuple[int, ...] | None:

@@ -5,6 +5,8 @@ function receives it."""
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
 
 import mvparking
@@ -39,6 +41,14 @@ VALIDATORS = [(parking, "check_preference"), (subgraphs, "check_preference"),
               (subgraphs, "check_permutation"), (perms, "check_permutation"),
               (motzkin, "check_preference"), (sandpile, "check_preference"),
               (sandpile, "check_config")]
+
+
+class Small(IntEnum):
+    """An int subclass: its members equal ints but are not exact ints."""
+
+    ONE = 1
+    TWO = 2
+
 
 PREF = (3, 1, 1, 2)
 ARCS = frozenset({(1, 4)})  # pf_to_subgraph(PREF), on its outcome 3412
@@ -127,6 +137,9 @@ BAD_PREFERENCES = [  # (label, preference, exception, message)
     ("empty", (), ValueError, "preference vector must be non-empty"),
     ("out of range", (1, 4, 1), ValueError, "preference entry 4 outside [1, 3]"),
     ("bool entry", (1, True), ValueError, "preference entry True outside [1, 2]"),
+    ("int subclass entry", (1, Small.TWO), ValueError,
+     "preference entry <Small.TWO: 2> outside [1, 2]"),
+    ("float entry", (1, 2.0), ValueError, "preference entry 2.0 outside [1, 2]"),
     ("not parking", (3, 3, 3), NotAParkingFunction, "(3, 3, 3) is not a parking function"),
 ]
 
@@ -136,6 +149,9 @@ BAD_CONFIGS = [  # (label, configuration, then (exception, message) for minrec a
     ("empty", (), *[(ValueError, "configuration must be non-empty")] * 3),
     ("out of range", (1, -1), *[(ValueError, "grain count -1 is not a non-negative integer")] * 3),
     ("bool entry", (0, True), *[(ValueError, "grain count True is not a non-negative integer")] * 3),
+    ("int subclass entry", (0, Small.ONE),
+     *[(ValueError, "grain count <Small.ONE: 1> is not a non-negative integer")] * 3),
+    ("float entry", (0, 1.0), *[(ValueError, "grain count 1.0 is not a non-negative integer")] * 3),
     ("unstable", (5, 0, 0), (NotStable, "(5, 0, 0) is not stable"),
      (NotMinimalRecurrent, "(5, 0, 0) is not a permutation of 0..2"),
      (NotStable, "(5, 0, 0) is not stable")),
@@ -143,6 +159,11 @@ BAD_CONFIGS = [  # (label, configuration, then (exception, message) for minrec a
      (NotMinimalRecurrent, "(0, 0, 2) is not a permutation of 0..2"), None),
     ("not minimal recurrent", (2, 1, 1), None,
      (NotMinimalRecurrent, "(2, 1, 1) is not a permutation of 0..2"), None),
+    ("value n before the end", (0, 3, 1), (NotStable, "(0, 3, 1) is not stable"),
+     (NotMinimalRecurrent, "(0, 3, 1) is not a permutation of 0..2"),
+     (NotStable, "(0, 3, 1) is not stable")),
+    ("duplicate before the end", (1, 1, 0), (NotRecurrent, "(1, 1, 0) is not recurrent"),
+     (NotMinimalRecurrent, "(1, 1, 0) is not a permutation of 0..2"), None),
 ]
 
 SUBGRAPH_CALLS = (subgraph_to_pf, is_valid, check_one_subgraph)
@@ -159,6 +180,12 @@ BAD_SUBGRAPHS = [  # (label, arcs, permutation, exception, message)
      "(2, True) is not a rearrangement of 1..2"),
     ("float permutation entry", [], (1.0, 2), ValueError,
      "(1.0, 2) is not a rearrangement of 1..2"),
+    ("int subclass permutation entry", [], (2, Small.ONE), ValueError,
+     "(2, <Small.ONE: 1>) is not a rearrangement of 1..2"),
+    ("int subclass arc source", [(Small.ONE, 2)], (2, 1), ValueError,
+     "malformed arc (<Small.ONE: 1>, 2): need integers 1 <= j < i"),
+    ("float arc target", [(1, 2.0)], (2, 1), ValueError,
+     "malformed arc (1, 2.0): need integers 1 <= j < i"),
     ("arc not an inversion", [(1, 2)], (1, 2), NotASubgraph,
      "arc (1,2) is not an inversion of (1, 2)"),
     ("two left-arcs on one vertex", [(1, 3), (2, 3)], (3, 2, 1), NotASubgraph,
@@ -174,6 +201,13 @@ BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
     ("bool arc source", motzkin.prime_decomposition, ([(True, 2)], 3), MALFORMED.format((True, 2))),
     ("bool arc source", motzkin.dec_to_split_subgraph, ([(True, 2)], 3),
      MALFORMED.format((True, 2))),
+    *[(label, fn, ([arc], 3), MALFORMED.format(arc))
+      for label, arc in [("int subclass arc source", (Small.ONE, 2)),
+                         ("float arc target", (1, 2.0))]
+      for fn in (motzkin.noncross_to_motzkin, motzkin.is_noncrossing_matching,
+                 motzkin.prime_decomposition, motzkin.dec_to_split_subgraph)],
+    ("step outside the alphabet", motzkin.is_motzkin_path, ("UXDY",),
+     "steps ['X', 'Y'] not in alphabet U/H/D"),
     ("edge beyond n", perms.edges_acyclic, ([(1, 5)], 3), "edge (1,5) has a vertex outside 1..3"),
     ("negative count", motzkin.motzkin_numbers, (-1,), "need upto >= 0, got -1"),
 ]
@@ -206,6 +240,27 @@ def test_each_public_arc_call_checks_its_arcs_once(monkeypatch, fn):
     calls = _count_calls(monkeypatch, [(subgraphs, "_check_one_subgraph")])
     fn(ARCS, (3, 4, 1, 2))
     assert calls == ["mvparking.subgraphs._check_one_subgraph"]
+
+
+MATCHING_CALLS = (motzkin.noncross_to_motzkin, motzkin.is_noncrossing_matching,
+                  motzkin.prime_decomposition, motzkin.dec_to_split_subgraph)
+
+
+@pytest.mark.parametrize("fn", MATCHING_CALLS, ids=lambda fn: fn.__name__)
+def test_each_public_matching_call_checks_its_arcs_once(monkeypatch, fn):
+    calls = _count_calls(monkeypatch, [(motzkin, "_check_arc_pairs")])
+    fn({(1, 2), (3, 4)}, 4)  # carries the arc (n-1, n), so dec_to_split_subgraph rewires it
+    assert calls == ["mvparking.motzkin._check_arc_pairs"]
+
+
+def test_thm_6_3_checks_each_matching_it_carries_once(monkeypatch):
+    """One arc check per `dec_to_split_subgraph` call: 3,558 at n = 10."""
+    calls = _count_calls(monkeypatch, [(motzkin, "_check_arc_pairs"),
+                                       (verify, "dec_to_split_subgraph")])
+    result = verify.run_suite("thm-6.3", n=10)
+    assert result.passed and result.checked == 3558
+    assert calls.count("mvparking.motzkin._check_arc_pairs") == 3558
+    assert calls.count("mvparking.verify.dec_to_split_subgraph") == 3558
 
 
 def test_bad_inputs_that_are_answers_not_errors():

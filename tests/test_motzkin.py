@@ -9,6 +9,7 @@ from mvparking.motzkin import (
     NotAMotzkinPath,
     NotANonCrossingMatching,
     _path_matching,
+    _popularity_path,
     dec_to_split_subgraph,
     decreasing_fibre,
     decreasing_representative,
@@ -25,7 +26,14 @@ from mvparking.parking import NotAParkingFunction, is_parking_function, outcome_
 from mvparking.perms import dec, split_left
 from mvparking.subgraphs import fibre_via_subgraphs, is_valid, valid_subgraphs
 
-from helpers import all_preferences, brute_noncrossing, gen_motzkin_paths, motzkin_numbers
+from helpers import (
+    all_preferences,
+    brute_noncrossing,
+    gen_motzkin_paths,
+    height_zero_intervals,
+    motzkin_numbers,
+    popularity_path,
+)
 
 FIGURE_DELTA = frozenset({(1, 6), (3, 5), (7, 10), (8, 9)})
 
@@ -34,6 +42,13 @@ def test_preference_path_goldens():
     assert preference_path((2, 2, 1, 4, 3, 6, 4, 6)) == "HUHUDUDD"
     assert preference_path((1, 2, 3, 4, 5)) == "HHHHH"
     assert preference_path((1, 1, 2)) == "UHD"
+
+
+def test_popularity_path_matches_the_counter_oracle_exhaustive():
+    """Every vector of [1, n]^n, parking or not, for n <= 6."""
+    for n in range(1, 7):
+        for p in all_preferences(n):
+            assert _popularity_path(p) == popularity_path(p)
 
 
 def test_is_motzkin_path():
@@ -187,6 +202,7 @@ def test_prime_decomposition():
             intervals = prime_decomposition(m, n)
             covered = [v for a, b in intervals for v in range(a, b + 1)]
             assert covered == list(range(1, n + 1))
+            assert intervals == height_zero_intervals(noncross_to_motzkin(m, n))
     with pytest.raises(NotANonCrossingMatching):
         prime_decomposition({(1, 3), (2, 4)}, 4)   # crossing
     with pytest.raises(NotANonCrossingMatching):

@@ -161,6 +161,18 @@ def test_canonical_toppling():
         canonical_toppling((1, 1, 0))
 
 
+def test_canonical_toppling_exhaustive_against_sorting():
+    """Every configuration in [0, n]^n for n <= 5: refused unless it sorts to
+    0..n-1, and otherwise position i holds the vertex with n - i grains."""
+    for n in range(1, 6):
+        for c in product(range(n + 1), repeat=n):
+            if sorted(c) != list(range(n)):
+                with pytest.raises(NotMinimalRecurrent):
+                    canonical_toppling(c)
+            else:
+                assert canonical_toppling(c) == tuple(c.index(n - i) + 1 for i in range(1, n + 1))
+
+
 def test_minrec_goldens():
     assert minrec(BIG) == (11, 7, 5, 6, 1, 2, 3, 8, 4, 9, 10, 0)
     assert minrec((1, 3, 3, 2)) == (1, 0, 3, 2)

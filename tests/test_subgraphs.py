@@ -35,7 +35,7 @@ from mvparking.subgraphs import (
     valid_subgraphs,
 )
 
-from helpers import all_preferences, mvp_outcome, spot_order_walk
+from helpers import all_preferences, induced_pf, mvp_outcome, spot_order_walk
 
 
 def test_enumeration_counts():
@@ -71,6 +71,14 @@ def test_subgraph_to_pf_goldens():
     # eleven-vertex arc diagram on the decreasing permutation
     delta = {(1, 6), (3, 5), (7, 10), (8, 9)}
     assert subgraph_to_pf(delta, dec(11)) == (11, 7, 8, 8, 7, 1, 3, 4, 3, 2, 1)
+
+
+def test_induced_pf_matches_the_dict_oracle_on_every_one_subgraph():
+    """Every 1-subgraph of every permutation of S_n for n <= 5."""
+    for n in range(1, 6):
+        for word in permutations(range(1, n + 1)):
+            for arcs in enumerate_one_subgraphs(word):
+                assert subgraphs._induced_pf(arcs, word) == induced_pf(arcs, word)
 
 
 def test_subgraph_to_pf_rejects_bad_subgraphs():
