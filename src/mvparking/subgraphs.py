@@ -18,7 +18,7 @@ un-parks the cars n..1 backward from pi, so it only meets occupancies that
 still park to pi and has no dead ends.  `fibre_size` counts by a recursion
 over occupied runs, since un-parking a car changes only the run it is in.
 `outcome_distribution` counts every fibre of S_n in one forward pass from
-the empty street, and `fibre_brute` is the independent n^n scan.
+the empty street, and `fibre_brute` walks every parking function forward.
 """
 
 from __future__ import annotations
@@ -87,17 +87,20 @@ def check_one_subgraph(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> fr
 
 
 def _check_one_subgraph(arcs, word) -> frozenset[tuple[int, int]]:
-    """`check_one_subgraph` against a checked permutation: every arc is still checked."""
+    """`check_one_subgraph` on a checked permutation: each arc checked in one pass."""
     n = len(word)
-    out = _check_arc_pairs(arcs)
-    targets = set()
-    for j, i in out:
+    out, targets = set(), 0  # bit i of targets: vertex i has a left-arc in out
+    for arc in arcs:
+        j, i = arc
+        if type(j) is not int or type(i) is not int or not 1 <= j < i:  # refuses bools
+            raise ValueError(f"malformed arc {arc!r}: need integers 1 <= j < i")
         if i > n or word[j - 1] <= word[i - 1]:
             raise NotASubgraph(f"arc ({j},{i}) is not an inversion of {word}")
-        if i in targets:
+        if targets >> i & 1 and (j, i) not in out:  # a repeated arc is one arc
             raise NotASubgraph(f"vertex {i} has two incident left-arcs")
-        targets.add(i)
-    return out
+        targets |= 1 << i
+        out.add((j, i))
+    return frozenset(out)
 
 
 def enumerate_one_subgraphs(pi: Iterable[int]) -> Iterator[frozenset[tuple[int, int]]]:
@@ -250,7 +253,7 @@ def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
 
 
 def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
-    """Independent oracle: scan all n^n preferences and keep the fibre.
+    """Independent oracle: walk all parking functions forward and keep the fibre.
 
     Lexicographically sorted; refuses n above `BRUTE_FORCE_CAP`.
     """
@@ -262,11 +265,44 @@ def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Lexicographically, each parking function of length n with its MVP outcome."""
-    for p in product(range(1, n + 1), repeat=n):
-        spots = _mvp(p, n)
-        if spots is not None:
-            yield p, tuple(spots[1:])
+    """Lexicographically, each parking function of length n with its MVP outcome.
+
+    Depth first in one frame: car c tries spots 1..n in turn, parks by the MVP
+    rule and undoes that move before the next try, so vectors sharing a prefix
+    share its simulation and a prefix whose bumped car leaves the street is cut.
+    `_mvp`'s step is inlined: the undo needs where each bump went, and a shared
+    step function would cost the hot `_mvp` one call per car.
+    """
+    spots = [0] * (n + 2)  # spots[0] and spots[n+1] stay empty
+    prefs = [0] * n
+    moved = [0] * (n + 1)  # moved[c]: the spot car c's bump sent the bumped car to, or 0
+    car = 1
+    while car:
+        p = prefs[car - 1]
+        if p:  # undo car's move (moved[car] is 0 without a bump, and spots[0] stays 0)
+            t = moved[car]
+            spots[p], spots[t] = spots[t], 0
+        while p < n:
+            p += 1
+            bumped = spots[p]
+            t = 0
+            if bumped:
+                t = spots.index(0, p + 1)
+                if t > n:  # the bumped car left the street: cut every extension
+                    continue
+                spots[t] = bumped
+            spots[p] = car
+            moved[car] = t
+            break
+        else:  # car has tried every spot
+            prefs[car - 1] = 0
+            car -= 1
+            continue
+        prefs[car - 1] = p
+        if car == n:
+            yield tuple(prefs), tuple(spots[1:-1])
+        else:
+            car += 1
 
 
 def fibre_size(pi: Iterable[int]) -> int:

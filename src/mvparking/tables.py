@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb
 
@@ -47,18 +46,17 @@ TABLES = {"bounds": (("n",), 1, 13), "bipartite": (("m", "n"), 1, 7),
 CONJECTURE_CAP = 10
 
 
-@dataclass
 class ReportTable:
-    name: str
-    headers: list[str]
-    rows: list[list[Cell]]
-    metadata: dict = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    """A named table of cells, with its metadata and the identity checks it failed."""
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.headers):
-                raise ValueError(f"row {row} has arity {len(row)}, expected {len(self.headers)}")
+    def __init__(self, name: str, headers: list[str], rows: list[list[Cell]],
+                 metadata: dict | None = None, failures: list[str] | None = None) -> None:
+        for row in rows:
+            if len(row) != len(headers):
+                raise ValueError(f"row {row} has arity {len(row)}, expected {len(headers)}")
+        self.name, self.headers, self.rows = name, headers, rows
+        self.metadata = {} if metadata is None else metadata
+        self.failures = [] if failures is None else failures
 
     def column(self, header: str) -> list[Cell]:
         k = self.headers.index(header)

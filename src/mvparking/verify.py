@@ -9,16 +9,16 @@ declares each suite's cap (`n` or `m`), its default and the CLI's guard.
 
 A suite builds its own cases, so it calls the private kernels behind the
 public functions on them and does not validate them again: a public
-function is one input check followed by its kernel.  The parking-function
-scan simulates each vector once and hands its MVP outcome to every check
-that reads it.  Public functions stay where a suite tests them as such.
+function is one input check followed by its kernel.  A depth-first walk
+simulates each prefix of the parking functions once and yields each with
+its MVP outcome.  Public functions stay where a suite tests them as such.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .motzkin import (
     _popularity_path,
@@ -66,8 +66,7 @@ from .subgraphs import (
 __all__ = ["SuiteResult", "SUITES", "SUITE_NAMES", "check_caps", "run_suite", "run_suites"]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checked: int
@@ -169,12 +168,14 @@ def _suite_prop_2_11(n_cap: int, seed: int) -> tuple[int, str]:
 def _suite_thm_3_2(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
+        walk = _parking_functions(n)  # lexicographic, as `product` is: p parks iff it is next
+        pf = next(walk, None)
         for p in product(range(1, n + 1), repeat=n):
             checked += 1
-            parks = _mvp(p, n) is not None
-            two_per_spot = all(p.count(v) <= 2 for v in set(p))
+            if parks := pf is not None and p == pf[0]:
+                pf = next(walk, None)
             path = _popularity_path(p)
-            if (parks and two_per_spot) != is_motzkin_path(path):
+            if (parks and max(map(p.count, p)) <= 2) != is_motzkin_path(path):
                 raise _Counterexample(
                     checked, "two-cars-per-spot parking functions <=> Motzkin popularity path",
                     f"p={format_preference(p)} path={path}")
@@ -323,9 +324,9 @@ def _suite_abelian(n_cap: int, seed: int) -> tuple[int, str]:
 
 # Per suite: (the suite, the cap it reads, its default, its guard).  The guard is the largest cap
 # the CLI runs without --force: the largest measured to run in at most about 1.5 minutes in one
-# fresh process on a 2-vCPU VM (CHANGES), and in under 1 GiB.  One step more multiplies the n^n
-# scans by about 20 (thm-2.5 --n 9 scans 9^9 vectors), the subgraph suites by 36, and the
-# matching suites by about 3 (rows).  The library itself is unguarded.
+# fresh process on a 2-vCPU VM (CHANGES), and in under 1 GiB.  One step more multiplies the
+# parking-function suites by about 20 (thm-2.5 --n 9 walks 10^8 parking functions), the subgraph
+# suites by 36, and the matching suites by about 3 (rows).  The library itself is unguarded.
 SUITES = {
     "thm-2.5": (_suite_thm_2_5, "n", 6, 8),
     "thm-2.8": (_suite_thm_2_8, "n", 6, 8),

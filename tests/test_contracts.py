@@ -190,6 +190,8 @@ BAD_SUBGRAPHS = [  # (label, arcs, permutation, exception, message)
      "arc (1,2) is not an inversion of (1, 2)"),
     ("two left-arcs on one vertex", [(1, 3), (2, 3)], (3, 2, 1), NotASubgraph,
      "vertex 3 has two incident left-arcs"),
+    ("first of two faulty arcs", [(1, 2), (True, 2)], (1, 2), NotASubgraph,
+     "arc (1,2) is not an inversion of (1, 2)"),  # one pass: the first faulty arc met is reported
 ]
 
 MALFORMED = "malformed arc {}: need integers 1 <= j < i"

@@ -51,7 +51,7 @@ def test_enumeration_matches_product_formula_and_is_duplicate_free():
             assert len(subs) == count_one_subgraphs(word)
             assert len(set(subs)) == len(subs)
             for sub in subs:
-                check_one_subgraph(sub, word)  # must not raise
+                assert check_one_subgraph([*sub, *sub], word) == sub  # a repeated arc is one arc
 
 
 def test_pf_to_subgraph_goldens():
@@ -143,6 +143,20 @@ def test_fibre_brute_cap(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="n=5 above brute-force cap 4"):
         fibre_brute(dec(5))
     assert len(fibre_brute(dec(4))) == 9
+
+
+def test_parking_function_walk_equals_the_filtered_scan_in_order():
+    """The depth-first walk yields what scanning all n^n vectors keeps, in the same order."""
+    for n in range(1, 7):
+        scan = [(p, mvp_outcome(p)) for p in all_preferences(n)]
+        assert list(subgraphs._parking_functions(n)) == [(p, w) for p, w in scan if w is not None]
+
+
+def test_parking_function_walk_counts_and_strictly_increases():
+    for n in range(1, 8):
+        prefs = [p for p, _word in subgraphs._parking_functions(n)]
+        assert len(prefs) == (n + 1) ** (n - 1), n
+        assert all(a < b for a, b in zip(prefs, prefs[1:])), n
 
 
 def _check_against_spot_order_oracle(word, with_subgraphs=True):

@@ -638,6 +638,7 @@ SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, 
     ("prop-2.10", {"n": 1}, "_is_p2_free", lambda pairs: False, 1, "pi=1 S={}"),
     ("prop-2.11", {"n": 1}, "valid_subgraphs", lambda word: [], 1, "pi=1 S={}"),
     ("thm-3.2", {"n": 1}, "is_motzkin_path", lambda path: False, 1, "p=1 path=H"),
+    ("thm-3.2", {"n": 1}, "_parking_functions", lambda n: iter(()), 1, "p=1 path=H"),
     ("thm-3.8", {"n": 1}, "motzkin_numbers", lambda upto: [0] * (upto + 1), 1,
      "n=1: |noncross|=1 distinct=1 fibre_size=1 motzkin=0"),
     ("thm-3.8", {"n": 1}, "noncrossing_matchings", lambda n: [frozenset()] * 2, 2,
