@@ -49,7 +49,7 @@ __all__ = [
 
 def motzkin_numbers(upto: int) -> list[int]:
     """M_0..M_upto (A001006): M_0 = M_1 = 1, M_n = M_{n-1} + sum_k M_k M_{n-2-k}."""
-    if upto < 0:
+    if type(upto) is not int or upto < 0:
         raise ValueError(f"need upto >= 0, got {upto}")
     m = [1, 1][:upto + 1]
     for n in range(2, upto + 1):
@@ -157,7 +157,7 @@ def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
         raise NotAMotzkinParkingFunction(f"some spot preferred >2 times in {prefs}")
     word = dec(len(prefs))
     rep = _induced_pf(_path_matching(_popularity_path(prefs)), word)
-    if _mvp(rep, len(word)) != [0, *word]:
+    if _mvp(rep, len(word)) != word:
         raise AssertionError(f"{rep}, built from {prefs}, does not park to {word}")
     return rep
 
@@ -186,7 +186,7 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     Recursive interval splitting: vertex lo is either isolated or matched
     to some k, with independent subproblems inside and outside the arc.
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("vertex count must be non-negative")
 
     def rec(lo: int, hi: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -271,7 +271,7 @@ def dec_to_split_subgraph(arcs: Iterable[tuple[int, int]], n: int) -> frozenset[
     a pair of arcs out of the closest suitable vertex on the left, shifting
     any arcs nested strictly inside one column to the right.
     """
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("need n >= 3")
     sub = _check_arc_pairs(arcs)
     if not _is_noncrossing(sub, n):

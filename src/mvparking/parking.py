@@ -11,12 +11,13 @@ bumped car only ever re-parks in a free spot.
 
 If every car manages to park the preference is a parking function; both
 rules succeed on exactly the same preferences, they only differ in which
-car ends up where.
+car ends up where.  The module also walks every parking function of a
+length with its MVP outcome, depth first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "BumpEvent",
@@ -80,42 +81,77 @@ def format_preference(p: Iterable[int]) -> str:
     return ",".join(str(x) for x in p)
 
 
-def _classical_spots(prefs, n):
-    """Spot occupancy under the classical rule, or None if a car exits."""
-    spots = [0] * (n + 1)
+def _classical(prefs, n):
+    """Car per spot under the classical rule, or None if a car exits."""
+    spots = [0] * (n + 2)  # spots[0] is unused and spots[n+1] stays empty
     for car in range(1, n + 1):
-        s = prefs[car - 1]
-        while s <= n and spots[s]:
-            s += 1
+        s = spots.index(0, prefs[car - 1])
         if s > n:
             return None
         spots[s] = car
-    return spots
+    return tuple(spots[1:-1])
 
 
 def _mvp(prefs, n, log=None):
     """Car per spot under the MVP rule, or None if a bumped car exits.
 
-    The list is padded: spots[i] holds the car in spot i and spots[0] is
-    unused, so hot callers compare it with [0, *word] without slicing.  No
-    validation; each bump is appended to `log` as a BumpEvent when a list
+    No validation; each bump is appended to `log` as a BumpEvent when a list
     is passed.
     """
-    spots = [0] * (n + 1)
+    spots = [0] * (n + 2)  # spots[0] is unused and spots[n+1] stays empty
     for car in range(1, n + 1):
         s = prefs[car - 1]
         bumped = spots[s]
         spots[s] = car
         if bumped:
-            t = s + 1
-            while t <= n and spots[t]:
-                t += 1
+            t = spots.index(0, s + 1)
             if t > n:
                 return None
             spots[t] = bumped
             if log is not None:
                 log.append(BumpEvent(bumped, s, t))
-    return spots
+    return tuple(spots[1:-1])
+
+
+def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Lexicographically, each parking function of length n with its MVP outcome.
+
+    Depth first in one frame: car c tries spots 1..n in turn, parks by the MVP
+    rule and undoes that move before the next try, so vectors sharing a prefix
+    share its simulation and a prefix whose bumped car leaves the street is cut.
+    `_mvp`'s step is inlined: the undo needs where each bump went, and a shared
+    step function would cost the hot `_mvp` one call per car.
+    """
+    spots = [0] * (n + 2)  # spots[0] and spots[n+1] stay empty
+    prefs = [0] * n
+    moved = [0] * (n + 1)  # moved[c]: the spot car c's bump sent the bumped car to, or 0
+    car = 1
+    while car:
+        p = prefs[car - 1]
+        if p:  # undo car's move (moved[car] is 0 without a bump, and spots[0] stays 0)
+            t = moved[car]
+            spots[p], spots[t] = spots[t], 0
+        while p < n:
+            p += 1
+            bumped = spots[p]
+            t = 0
+            if bumped:
+                t = spots.index(0, p + 1)
+                if t > n:  # the bumped car left the street: cut every extension
+                    continue
+                spots[t] = bumped
+            spots[p] = car
+            moved[car] = t
+            break
+        else:  # car has tried every spot
+            prefs[car - 1] = 0
+            car -= 1
+            continue
+        prefs[car - 1] = p
+        if car == n:
+            yield tuple(prefs), tuple(spots[1:-1])
+        else:
+            car += 1
 
 
 def is_parking_function(p: Iterable[int]) -> bool:
@@ -127,29 +163,27 @@ def is_parking_function(p: Iterable[int]) -> bool:
 def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:
     """Outcome permutation of the classical process: spot -> car."""
     prefs = check_preference(p)
-    spots = _classical_spots(prefs, len(prefs))
-    if spots is None:
+    outcome = _classical(prefs, len(prefs))
+    if outcome is None:
         raise NotAParkingFunction(f"{prefs} is not a parking function")
-    return tuple(spots[1:])
+    return outcome
 
 
 def _park(prefs, log=None):
     """`_mvp` on a checked vector, raising NotAParkingFunction if a car exits."""
-    spots = _mvp(prefs, len(prefs), log)
-    if spots is None:
+    outcome = _mvp(prefs, len(prefs), log)
+    if outcome is None:
         raise NotAParkingFunction(f"{prefs} is not a parking function")
-    return spots
+    return outcome
 
 
 def outcome_mvp(p: Iterable[int]) -> MvpOutcome:
     """Outcome permutation of the MVP process together with its bump log."""
     log: list[BumpEvent] = []
-    spots = _park(check_preference(p), log)
-    return MvpOutcome(tuple(spots[1:]), tuple(log))
+    return MvpOutcome(_park(check_preference(p), log), tuple(log))
 
 
 def displacement_mvp(p: Iterable[int]) -> int:
     """Total displacement: sum over cars of |preference - final spot| (MVP)."""
     prefs = check_preference(p)
-    spots = _park(prefs)
-    return sum(abs(prefs[spots[i] - 1] - i) for i in range(1, len(spots)))
+    return sum(abs(prefs[car - 1] - i) for i, car in enumerate(_park(prefs), start=1))

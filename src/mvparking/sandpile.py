@@ -109,7 +109,7 @@ def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
     """Topple vertex i: it loses n grains, every other vertex gains one."""
     cfg = check_config(c)
     n = len(cfg)
-    if not 1 <= i <= n:
+    if type(i) is not int or not 1 <= i <= n:
         raise IndexError(f"vertex {i} outside [1, {n}]")
     if cfg[i - 1] < n:
         raise VertexStable(f"vertex {i} holds {cfg[i - 1]} < {n} grains")

@@ -27,7 +27,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .parking import _mvp, _park, check_preference
+from .parking import _mvp, _park, _parking_functions, check_preference
 from .perms import check_permutation, left_inversion_lists
 
 __all__ = [
@@ -129,7 +129,7 @@ def _induced_arcs(prefs, word) -> frozenset[tuple[int, int]]:
 def pf_to_subgraph(p: Iterable[int]) -> frozenset[tuple[int, int]]:
     """Subgraph induced by a parking function on its own MVP outcome."""
     prefs = check_preference(p)
-    return _induced_arcs(prefs, _park(prefs)[1:])
+    return _induced_arcs(prefs, _park(prefs))
 
 
 def _induced_pf(arcs, word) -> tuple[int, ...]:
@@ -157,7 +157,7 @@ def is_valid(arcs: Iterable[tuple[int, int]], pi: Iterable[int]) -> bool:
     invalid rather than raising.
     """
     word = check_permutation(pi)
-    return _mvp(_induced_pf(_check_one_subgraph(arcs, word), word), len(word)) == [0, *word]
+    return _mvp(_induced_pf(_check_one_subgraph(arcs, word), word), len(word)) == word
 
 
 def is_p2_free(arcs: Iterable[tuple[int, int]]) -> bool:
@@ -262,47 +262,6 @@ def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:
     if n > BRUTE_FORCE_CAP:
         raise SizeCapExceeded(f"n={n} above brute-force cap {BRUTE_FORCE_CAP}")
     return [p for p, outcome in _parking_functions(n) if outcome == word]
-
-
-def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Lexicographically, each parking function of length n with its MVP outcome.
-
-    Depth first in one frame: car c tries spots 1..n in turn, parks by the MVP
-    rule and undoes that move before the next try, so vectors sharing a prefix
-    share its simulation and a prefix whose bumped car leaves the street is cut.
-    `_mvp`'s step is inlined: the undo needs where each bump went, and a shared
-    step function would cost the hot `_mvp` one call per car.
-    """
-    spots = [0] * (n + 2)  # spots[0] and spots[n+1] stay empty
-    prefs = [0] * n
-    moved = [0] * (n + 1)  # moved[c]: the spot car c's bump sent the bumped car to, or 0
-    car = 1
-    while car:
-        p = prefs[car - 1]
-        if p:  # undo car's move (moved[car] is 0 without a bump, and spots[0] stays 0)
-            t = moved[car]
-            spots[p], spots[t] = spots[t], 0
-        while p < n:
-            p += 1
-            bumped = spots[p]
-            t = 0
-            if bumped:
-                t = spots.index(0, p + 1)
-                if t > n:  # the bumped car left the street: cut every extension
-                    continue
-                spots[t] = bumped
-            spots[p] = car
-            moved[car] = t
-            break
-        else:  # car has tried every spot
-            prefs[car - 1] = 0
-            car -= 1
-            continue
-        prefs[car - 1] = p
-        if car == n:
-            yield tuple(prefs), tuple(spots[1:-1])
-        else:
-            car += 1
 
 
 def fibre_size(pi: Iterable[int]) -> int:

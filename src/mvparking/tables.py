@@ -213,7 +213,8 @@ def _cell_from_text(text: str) -> Cell:
 
 
 def parse_csv(text: str) -> tuple[list[str], list[list[Cell]]]:
-    """Inverse of render_csv up to metadata: (headers, typed rows)."""
+    """render_csv's text read back as (headers, typed rows), without metadata:
+    a cell that reads as an int, such as the permutation 312, comes back as an int."""
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:

@@ -9,7 +9,7 @@ declares each suite's cap (`n` or `m`), its default and the CLI's guard.
 
 A suite builds its own cases, so it calls the private kernels behind the
 public functions on them and does not validate them again: a public
-function is one input check followed by its kernel.  A depth-first walk
+function is one input check followed by its kernel.  The `parking` walk
 simulates each prefix of the parking functions once and yields each with
 its MVP outcome.  Public functions stay where a suite tests them as such.
 """
@@ -28,8 +28,9 @@ from .motzkin import (
     noncrossing_matchings,
 )
 from .parking import (
-    _classical_spots,
+    _classical,
     _mvp,
+    _parking_functions,
     displacement_mvp,
     format_preference,
     is_parking_function,
@@ -51,7 +52,6 @@ from .subgraphs import (
     _induced_pf,
     _is_hs,
     _is_p2_free,
-    _parking_functions,
     count_one_subgraphs,
     enumerate_one_subgraphs,
     fibre_size,
@@ -190,7 +190,7 @@ def _count_valid(subgraphs, word, checked, detail) -> tuple[int, int, int]:
     for arcs in subgraphs:
         pref = _induced_pf(arcs, word)
         cases += 1
-        if _induced_arcs(pref, word) != arcs or _mvp(pref, len(word)) != [0, *word]:
+        if _induced_arcs(pref, word) != arcs or _mvp(pref, len(word)) != word:
             raise _Counterexample(checked + cases, detail,
                                   f"pi={format_permutation(word)} S={{{format_arcs(arcs)}}}")
         prefs.add(bytes(pref))
@@ -232,7 +232,7 @@ def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
                 raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
                                       f"p={format_preference(p)}")
             via_classical = _canonical_toppling(_minrec(cfg, classical=True))
-            if via_classical != tuple(_classical_spots(p, n)[1:]):
+            if via_classical != _classical(p, n):
                 raise _Counterexample(checked, "classical variant vs direct outcome",
                                       f"p={format_preference(p)}")
     return checked, (

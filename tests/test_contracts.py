@@ -214,6 +214,33 @@ BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
     ("negative count", motzkin.motzkin_numbers, (-1,), "need upto >= 0, got -1"),
 ]
 
+BAD_SIZES = [  # (label, call, arguments, exception, message): sizes and indices are exact ints
+    ("bool size", perms.dec, (True,), ValueError, "size must be positive"),
+    ("float size", perms.dec, (2.0,), ValueError, "size must be positive"),
+    ("bool size", perms.bipart, (True, 2), ValueError, "need m >= 0 and n >= 1"),
+    ("float size", perms.bipart, (1, 2.0), ValueError, "need m >= 0 and n >= 1"),
+    ("bool size", perms.split_left, (1, True), ValueError, "sizes must be positive"),
+    ("float size", perms.split_left, (2.0, 1), ValueError, "sizes must be positive"),
+    ("bool size", perms.split_right, (True, 1), ValueError, "sizes must be positive"),
+    ("float size", perms.split_right, (1, 2.0), ValueError, "sizes must be positive"),
+    ("bool size", motzkin.noncrossing_matchings, (True,), ValueError,
+     "vertex count must be non-negative"),
+    ("float size", motzkin.noncrossing_matchings, (2.0,), ValueError,
+     "vertex count must be non-negative"),
+    ("negative size", motzkin.noncrossing_matchings, (-1,), ValueError,
+     "vertex count must be non-negative"),
+    ("bool count", motzkin.motzkin_numbers, (True,), ValueError, "need upto >= 0, got True"),
+    ("float count", motzkin.motzkin_numbers, (2.0,), ValueError, "need upto >= 0, got 2.0"),
+    ("bool size", motzkin.dec_to_split_subgraph, ((), True), ValueError, "need n >= 3"),
+    ("float size", motzkin.dec_to_split_subgraph, ((), 4.0), ValueError, "need n >= 3"),
+    ("bool vertex", sandpile.topple, ((3, 0), True), IndexError, "vertex True outside [1, 2]"),
+    ("float vertex", sandpile.topple, ((3, 0), 1.0), IndexError, "vertex 1.0 outside [1, 2]"),
+    ("bool position", perms.left_inversions, ((2, 1), True), IndexError,
+     "position True outside [1, 2]"),
+    ("float position", perms.left_inversions, ((2, 1), 2.0), IndexError,
+     "position 2.0 outside [1, 2]"),
+]
+
 
 def _bad_calls():
     for label, prefs, exc, message in BAD_PREFERENCES:
@@ -228,6 +255,8 @@ def _bad_calls():
             yield pytest.param(fn, (arcs, word), exc, message, id=f"{fn.__name__}-{label}")
     for label, fn, args, message in BAD_ARCS:
         yield pytest.param(fn, args, ValueError, message, id=f"{fn.__name__}-{label}")
+    for label, fn, args, exc, message in BAD_SIZES:
+        yield pytest.param(fn, args, exc, message, id=f"{fn.__name__}-{label}")
 
 
 @pytest.mark.parametrize("fn, args, exc, message", _bad_calls())

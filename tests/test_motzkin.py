@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from mvparking import motzkin
 from mvparking.motzkin import (
     NotAMotzkinParkingFunction,
     NotAMotzkinPath,
@@ -92,6 +93,14 @@ def test_decreasing_representative_goldens():
     assert outcome_mvp(rep).outcome == dec(8)
     with pytest.raises(NotAMotzkinParkingFunction):
         decreasing_representative((1, 1, 1))
+
+
+def test_decreasing_representative_refuses_a_built_preference_that_misses_dec(monkeypatch):
+    """(1, 1, 1) parks to 312, not to dec(3): an internal failure, not a bad input."""
+    monkeypatch.setattr(motzkin, "_induced_pf", lambda arcs, word: (1,) * len(word))
+    with pytest.raises(AssertionError, match=r"^\(1, 1, 1\), built from \(1, 1, 2\), "
+                                             r"does not park to \(3, 2, 1\)$"):
+        decreasing_representative((1, 1, 2))
 
 
 def test_decreasing_representative_fixes_fibre_members():

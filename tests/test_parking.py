@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from mvparking import parking
 from mvparking.parking import (
     BumpEvent,
     NotAParkingFunction,
@@ -15,7 +16,7 @@ from mvparking.parking import (
     parse_preference,
 )
 
-from helpers import all_preferences
+from helpers import all_preferences, mvp_outcome
 
 
 def test_worked_example_both_models():
@@ -130,3 +131,24 @@ def test_bump_log_structure_exhaustive():
                     assert b.from_spot == a.to_spot
                 final_spot = res.outcome.index(car) + 1
                 assert events[-1].to_spot == final_spot
+
+
+def test_mvp_kernel_returns_the_outcome_or_none():
+    """`_mvp` is the helper simulation on every vector of [n]^n, None included."""
+    for n in range(1, 7):
+        for p in all_preferences(n):
+            assert parking._mvp(p, n) == mvp_outcome(p), p
+
+
+def test_parking_function_walk_equals_the_filtered_scan_in_order():
+    """The depth-first walk yields what scanning all n^n vectors keeps, in the same order."""
+    for n in range(1, 7):
+        scan = [(p, mvp_outcome(p)) for p in all_preferences(n)]
+        assert list(parking._parking_functions(n)) == [(p, w) for p, w in scan if w is not None]
+
+
+def test_parking_function_walk_counts_and_strictly_increases():
+    for n in range(1, 8):
+        prefs = [p for p, _word in parking._parking_functions(n)]
+        assert len(prefs) == (n + 1) ** (n - 1), n
+        assert all(a < b for a, b in zip(prefs, prefs[1:])), n

@@ -145,20 +145,6 @@ def test_fibre_brute_cap(monkeypatch):
     assert len(fibre_brute(dec(4))) == 9
 
 
-def test_parking_function_walk_equals_the_filtered_scan_in_order():
-    """The depth-first walk yields what scanning all n^n vectors keeps, in the same order."""
-    for n in range(1, 7):
-        scan = [(p, mvp_outcome(p)) for p in all_preferences(n)]
-        assert list(subgraphs._parking_functions(n)) == [(p, w) for p, w in scan if w is not None]
-
-
-def test_parking_function_walk_counts_and_strictly_increases():
-    for n in range(1, 8):
-        prefs = [p for p, _word in subgraphs._parking_functions(n)]
-        assert len(prefs) == (n + 1) ** (n - 1), n
-        assert all(a < b for a, b in zip(prefs, prefs[1:])), n
-
-
 def _check_against_spot_order_oracle(word, with_subgraphs=True):
     fibre, valid, p2_free, hs = spot_order_walk(word)
     assert fibre_via_subgraphs(word) == fibre
