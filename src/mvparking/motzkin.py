@@ -50,7 +50,7 @@ __all__ = [
 def motzkin_numbers(upto: int) -> list[int]:
     """M_0..M_upto (A001006): M_0 = M_1 = 1, M_n = M_{n-1} + sum_k M_k M_{n-2-k}."""
     if type(upto) is not int or upto < 0:
-        raise ValueError(f"need upto >= 0, got {upto}")
+        raise ValueError(f"need an int upto >= 0, got {upto!r}")
     m = [1, 1][:upto + 1]
     for n in range(2, upto + 1):
         m.append(m[n - 1] + sum(m[k] * m[n - 2 - k] for k in range(n - 1)))
@@ -187,7 +187,7 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     to some k, with independent subproblems inside and outside the arc.
     """
     if type(n) is not int or n < 0:
-        raise ValueError("vertex count must be non-negative")
+        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
 
     def rec(lo: int, hi: int) -> Iterator[frozenset[tuple[int, int]]]:
         if lo > hi:
@@ -272,7 +272,7 @@ def dec_to_split_subgraph(arcs: Iterable[tuple[int, int]], n: int) -> frozenset[
     any arcs nested strictly inside one column to the right.
     """
     if type(n) is not int or n < 3:
-        raise ValueError("need n >= 3")
+        raise ValueError(f"need an int n >= 3, got {n!r}")
     sub = _check_arc_pairs(arcs)
     if not _is_noncrossing(sub, n):
         raise NotANonCrossingMatching(f"{sorted(sub)} on [{n}]")

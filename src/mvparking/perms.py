@@ -74,7 +74,7 @@ def left_inversions(pi: Iterable[int], i: int) -> frozenset[int]:
     """Sources j of inversions (j, i) ending at position i."""
     word = check_permutation(pi)
     if type(i) is not int or not 1 <= i <= len(word):
-        raise IndexError(f"position {i} outside [1, {len(word)}]")
+        raise IndexError(f"position must be an int in [1, {len(word)}], got {i!r}")
     return frozenset(j for j in range(1, i) if word[j - 1] > word[i - 1])
 
 
@@ -142,7 +142,7 @@ def edges_acyclic(edges: Iterable[tuple[int, int]], n: int) -> bool:
 def dec(n: int) -> tuple[int, ...]:
     """The decreasing permutation n (n-1) ... 1; its inversion graph is complete."""
     if type(n) is not int or n < 1:
-        raise ValueError("size must be positive")
+        raise ValueError(f"size must be a positive int, got {n!r}")
     return tuple(range(n, 0, -1))
 
 
@@ -152,19 +152,19 @@ def bipart(m: int, n: int) -> tuple[int, ...]:
     m = 0 is allowed and gives the identity of length n.
     """
     if type(m) is not int or type(n) is not int or m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
+        raise ValueError(f"need ints m >= 0 and n >= 1, got m={m!r}, n={n!r}")
     return tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
 
 
 def split_right(m: int, n: int) -> tuple[int, ...]:
     """(n+1) ... (n+m) n (n-1) ... 1; inversion graph is a complete split graph."""
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:
-        raise ValueError("sizes must be positive")
+        raise ValueError(f"sizes must be positive ints, got m={m!r}, n={n!r}")
     return tuple(range(n + 1, n + m + 1)) + tuple(range(n, 0, -1))
 
 
 def split_left(m: int, n: int) -> tuple[int, ...]:
     """(m+n) (m+n-1) ... (m+1) 1 2 ... m; the other complete split family."""
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:
-        raise ValueError("sizes must be positive")
+        raise ValueError(f"sizes must be positive ints, got m={m!r}, n={n!r}")
     return tuple(range(m + n, m, -1)) + tuple(range(1, m + 1))

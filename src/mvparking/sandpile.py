@@ -110,7 +110,7 @@ def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
     cfg = check_config(c)
     n = len(cfg)
     if type(i) is not int or not 1 <= i <= n:
-        raise IndexError(f"vertex {i} outside [1, {n}]")
+        raise IndexError(f"vertex must be an int in [1, {n}], got {i!r}")
     if cfg[i - 1] < n:
         raise VertexStable(f"vertex {i} holds {cfg[i - 1]} < {n} grains")
     return tuple(x - n if u == i else x + 1 for u, x in enumerate(cfg, start=1))

@@ -2,10 +2,15 @@
 
 Every cell is an exact count from one engine, `fibre_size`'s recursion over
 the occupied runs met un-parking the cars, or from the P2-free and HS
-dynamic programs.  A conjecture row counts all of S_n through one run
-counter, whose memo serves the runs its permutations share.  `TABLES`
-declares each table's sizes and guard.  A table lists each identity check
-it failed in `failures`, which no renderer writes.
+dynamic programs.  The bipartite and dec-vs-split tables each pass every
+cell through one run counter keyed by rank pattern, so a column reuses the
+sub-runs its cells share: dec-vs-split to n = 100 keeps about 5,000 memo
+entries.  A conjecture row counts all of S_n through one counter keyed by
+the raw runs instead: its permutations meet the same raw sub-runs again and
+again, so ranking each one before the lookup costs more than the hits it
+adds (S_9 about 2.7 times slower).  `TABLES` declares each table's sizes and
+guard.  A table lists each identity check it failed in `failures`, which no
+renderer writes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import comb
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import SizeCapExceeded, _run_counter, bounds, fibre_size
+from .subgraphs import FIBRE_CAP, SizeCapExceeded, _fibre_size, _run_counter, bounds
 
 __all__ = [
     "CONJECTURE_CAP",
@@ -38,9 +43,14 @@ __all__ = [
 Cell = int | str
 
 # Per table `<name>_table`: (the sizes its builder reads, in order, the least size that gives
-# cells, and the default and largest size the CLI runs without --force).
-TABLES = {"bounds": (("n",), 1, 13), "bipartite": (("m", "n"), 1, 7),
-          "dec-vs-split": (("n",), 3, 13), "conjecture": (("n",), 3, 8)}
+# cells, and the default and largest size the CLI runs without --force).  As for the verify
+# suites, a guard is the largest size measured to run in at most about 1.5 minutes in one fresh
+# process on a 2-vCPU VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.
+# bipartite 80x80 takes 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); dec-vs-split reaches
+# FIBRE_CAP, n = 255, in 20-32 s at 24 MiB.  bounds stays at 13: its P2-free dynamic program
+# holds 2^(n-1) states on dec(n).
+TABLES = {"bounds": (("n",), 1, 13), "bipartite": (("m", "n"), 1, 80),
+          "dec-vs-split": (("n",), 3, FIBRE_CAP), "conjecture": (("n",), 3, 8)}
 # Largest `conjecture_table` size, --force or not: n <= 10 takes 21-22 s at 126 MiB peak RSS on
 # a 2-vCPU VM (n <= 9: 1.8-2.4 s at 30 MiB), and n = 11 would need roughly ten times both.
 CONJECTURE_CAP = 10
@@ -69,6 +79,13 @@ def _report(name: str, headers: list[str], rows, check, **metadata) -> ReportTab
     rows = list(rows)
     metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     return ReportTable(name, headers, rows, metadata, check(rows))
+
+
+def _check_fibre_cap(cars: int, largest: str) -> None:
+    """Refuse a table whose `largest` cell, of `cars` cars, is above `FIBRE_CAP`
+    before its first cell, not at that cell."""
+    if cars > FIBRE_CAP:
+        raise SizeCapExceeded(f"{largest} has {cars} cars, above fibre cap FIBRE_CAP={FIBRE_CAP}")
 
 
 def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
@@ -113,9 +130,11 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
             f"FAIL bipartite m={m} n={n}: fibre is {rows[n - 1][m]}, not thm-2.8's {rule} = {want}"
             for m, n, want, rule in cells if rows[n - 1][m] != want]
 
+    _check_fibre_cap(max_m + max_n, f"bipart({max_m},{max_n})")
+    count = _run_counter()
     return _report(
         "bipartite", ["n"] + [f"m{m}" for m in range(1, max_m + 1)],
-        ([n, *(fibre_size(bipart(m, n)) for m in range(1, max_m + 1))]
+        ([n, *(_fibre_size(bipart(m, n), count) for m in range(1, max_m + 1))]
          for n in range(1, max_n + 1)),
         check, max_m=max_m, max_n=max_n)
 
@@ -125,17 +144,19 @@ def dec_vs_split_table(max_n: int) -> ReportTable:
 
     The dec column is checked against the Motzkin numbers.
     """
-    motzkin = motzkin_numbers(max(max_n, 0))
+    _check_fibre_cap(max_n, f"dec({max_n})")
+    motzkin, count = motzkin_numbers(max(max_n, 0)), _run_counter()
     return _report(
         "dec-vs-split", ["n", "dec", "split"],
-        ([n, fibre_size(dec(n)), fibre_size(split_right(2, n - 2))] for n in range(3, max_n + 1)),
+        ([n, _fibre_size(dec(n), count), _fibre_size(split_right(2, n - 2), count)]
+         for n in range(3, max_n + 1)),
         lambda rows: [f"FAIL dec-vs-split n={n}: dec fibre is {size}, not Motzkin(n) = {motzkin[n]}"
                       for n, size, _ in rows if size != motzkin[n]],
         max_n=max_n)
 
 
 def _conjecture_row(n: int, failures: list[str]) -> list[Cell]:
-    count = _run_counter()
+    count = _run_counter(by_pattern=False)
     total, best, argmax = 0, -1, []
     for word in permutations(range(1, n + 1)):  # lexicographic: argmax[0] is the least
         size = count(bytes(word))

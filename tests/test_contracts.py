@@ -211,34 +211,44 @@ BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
     ("step outside the alphabet", motzkin.is_motzkin_path, ("UXDY",),
      "steps ['X', 'Y'] not in alphabet U/H/D"),
     ("edge beyond n", perms.edges_acyclic, ([(1, 5)], 3), "edge (1,5) has a vertex outside 1..3"),
-    ("negative count", motzkin.motzkin_numbers, (-1,), "need upto >= 0, got -1"),
+    ("negative count", motzkin.motzkin_numbers, (-1,), "need an int upto >= 0, got -1"),
 ]
 
 BAD_SIZES = [  # (label, call, arguments, exception, message): sizes and indices are exact ints
-    ("bool size", perms.dec, (True,), ValueError, "size must be positive"),
-    ("float size", perms.dec, (2.0,), ValueError, "size must be positive"),
-    ("bool size", perms.bipart, (True, 2), ValueError, "need m >= 0 and n >= 1"),
-    ("float size", perms.bipart, (1, 2.0), ValueError, "need m >= 0 and n >= 1"),
-    ("bool size", perms.split_left, (1, True), ValueError, "sizes must be positive"),
-    ("float size", perms.split_left, (2.0, 1), ValueError, "sizes must be positive"),
-    ("bool size", perms.split_right, (True, 1), ValueError, "sizes must be positive"),
-    ("float size", perms.split_right, (1, 2.0), ValueError, "sizes must be positive"),
+    ("bool size", perms.dec, (True,), ValueError, "size must be a positive int, got True"),
+    ("float size", perms.dec, (2.0,), ValueError, "size must be a positive int, got 2.0"),
+    ("bool size", perms.bipart, (True, 2), ValueError,
+     "need ints m >= 0 and n >= 1, got m=True, n=2"),
+    ("float size", perms.bipart, (1, 2.0), ValueError,
+     "need ints m >= 0 and n >= 1, got m=1, n=2.0"),
+    ("bool size", perms.split_left, (1, True), ValueError,
+     "sizes must be positive ints, got m=1, n=True"),
+    ("float size", perms.split_left, (2.0, 1), ValueError,
+     "sizes must be positive ints, got m=2.0, n=1"),
+    ("bool size", perms.split_right, (True, 1), ValueError,
+     "sizes must be positive ints, got m=True, n=1"),
+    ("float size", perms.split_right, (1, 2.0), ValueError,
+     "sizes must be positive ints, got m=1, n=2.0"),
     ("bool size", motzkin.noncrossing_matchings, (True,), ValueError,
-     "vertex count must be non-negative"),
+     "vertex count must be a non-negative int, got True"),
     ("float size", motzkin.noncrossing_matchings, (2.0,), ValueError,
-     "vertex count must be non-negative"),
+     "vertex count must be a non-negative int, got 2.0"),
     ("negative size", motzkin.noncrossing_matchings, (-1,), ValueError,
-     "vertex count must be non-negative"),
-    ("bool count", motzkin.motzkin_numbers, (True,), ValueError, "need upto >= 0, got True"),
-    ("float count", motzkin.motzkin_numbers, (2.0,), ValueError, "need upto >= 0, got 2.0"),
-    ("bool size", motzkin.dec_to_split_subgraph, ((), True), ValueError, "need n >= 3"),
-    ("float size", motzkin.dec_to_split_subgraph, ((), 4.0), ValueError, "need n >= 3"),
-    ("bool vertex", sandpile.topple, ((3, 0), True), IndexError, "vertex True outside [1, 2]"),
-    ("float vertex", sandpile.topple, ((3, 0), 1.0), IndexError, "vertex 1.0 outside [1, 2]"),
+     "vertex count must be a non-negative int, got -1"),
+    ("bool count", motzkin.motzkin_numbers, (True,), ValueError, "need an int upto >= 0, got True"),
+    ("float count", motzkin.motzkin_numbers, (2.0,), ValueError, "need an int upto >= 0, got 2.0"),
+    ("bool size", motzkin.dec_to_split_subgraph, ((), True), ValueError,
+     "need an int n >= 3, got True"),
+    ("float size", motzkin.dec_to_split_subgraph, ((), 4.0), ValueError,
+     "need an int n >= 3, got 4.0"),
+    ("bool vertex", sandpile.topple, ((3, 0), True), IndexError,
+     "vertex must be an int in [1, 2], got True"),
+    ("float vertex", sandpile.topple, ((3, 0), 1.0), IndexError,
+     "vertex must be an int in [1, 2], got 1.0"),
     ("bool position", perms.left_inversions, ((2, 1), True), IndexError,
-     "position True outside [1, 2]"),
+     "position must be an int in [1, 2], got True"),
     ("float position", perms.left_inversions, ((2, 1), 2.0), IndexError,
-     "position 2.0 outside [1, 2]"),
+     "position must be an int in [1, 2], got 2.0"),
 ]
 
 

@@ -257,6 +257,38 @@ def test_fibre_size_beyond_the_oracles():
     assert [fibre_size(dec(n)) for n in range(1, 21)] == motzkin[1:]
 
 
+def test_both_run_keys_count_every_fibre_of_s_n():
+    for n in range(1, 9):
+        sizes = outcome_distribution(n)
+        for by_pattern in (True, False):
+            count = subgraphs._run_counter(by_pattern=by_pattern)  # one memo for all of S_n
+            assert all(count(bytes(word)) == size for word, size in sizes.items()), (n, by_pattern)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_both_run_keys_match_the_spot_order_oracle(word):
+    size = len(spot_order_walk(word)[0])
+    for by_pattern in (True, False):
+        assert subgraphs._run_counter(by_pattern=by_pattern)(bytes(word)) == size
+
+
+def test_the_pattern_keyed_counter_on_the_paper_families():
+    motzkin, count = motzkin_numbers(100), subgraphs._run_counter()
+    assert [subgraphs._fibre_size(dec(n), count) for n in range(1, 101)] == motzkin[1:]
+    assert fibre_size(dec(100)) == motzkin[100]
+    # thm-4.1: the n = 2 row of the bipartite family
+    assert [fibre_size(bipart(m, 2)) for m in range(1, 201)] == [
+        m + 1 + (m + 1) ** 2 // 2 for m in range(1, 201)]
+
+
+def test_the_memo_is_keyed_by_rank_pattern():
+    count = subgraphs._run_counter()
+    assert count(bytes(dec(30))) == fibre_size(dec(30)) == 1_697_385_471_211
+    assert len(count.memo) < 300  # raw keys fill about 3.0M entries on dec(30)
+    assert all(sorted(run) == list(range(len(run))) for run in count.memo)
+
+
 def test_fibre_cap():
     identity = tuple(range(1, FIBRE_CAP + 1))
     assert fibre_size(identity) == 1 and fibre_via_subgraphs(identity) == [identity]

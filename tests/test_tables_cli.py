@@ -362,14 +362,27 @@ def test_cli_table_csv_golden(capsys):
 def test_cli_table_guards(capsys):
     code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "14")
     assert code == 2 and "guard" in err
-    code, out, err = run_cli(capsys, "table", "dec-vs-split", "--format", "csv")
+    args = cli.build_parser().parse_args(["table", "dec-vs-split"])
+    assert args.max_n == subgraphs.FIBRE_CAP  # a table's default size is its guard
+    code, out, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "13", "--format", "csv")
     assert code == 0 and not err and out.endswith("\n13,41835,46850\n")
-    code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "14")
+    code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "256")
     assert code == 2 and "guard" in err
     code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "9")
     assert code == 2 and "guard" in err
-    code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "8", "--max-n", "2")
+    code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "81", "--max-n", "2")
     assert code == 2 and "guard" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dec-vs-split", "--max-n", "256"], "dec(256) has 256 cars"),
+    (["bipartite", "--max-m", "85", "--max-n", "171"], "bipart(85,171) has 256 cars"),
+])
+def test_cli_table_refuses_a_cell_above_the_fibre_cap_before_the_first(capsys, monkeypatch,
+                                                                       argv, message):
+    monkeypatch.setattr(tables, "_fibre_size", lambda *_: pytest.fail("a cell was counted"))
+    code, out, err = run_cli(capsys, "table", *argv, "--force")
+    assert (code, out, err) == (2, "", f"error: {message}, above fibre cap FIBRE_CAP=255\n")
 
 
 def test_cli_table_force_overrides_guard(capsys):
@@ -603,7 +616,7 @@ def test_cli_table_rejects_sizes_without_cells(capsys, argv):
 def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "conjecture", "--max-n", "3")
     assert code == 0 and not err
-    monkeypatch.setattr(tables, "_run_counter", lambda: lambda run: 0)
+    monkeypatch.setattr(tables, "_run_counter", lambda **_: lambda run: 0)
     code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "3", "--format", "csv")
     assert code == 1 and out.startswith("n,max_fibre")
     assert err == "FAIL conjecture n=3: fibre sizes sum to 0, not (n+1)^(n-1) = 16\n"
@@ -777,7 +790,7 @@ def test_cli_bounds_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
 def test_cli_dec_vs_split_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "4")
     assert code == 0 and not err
-    monkeypatch.setattr(tables, "fibre_size", lambda word: 0)
+    monkeypatch.setattr(tables, "_run_counter", lambda **_: lambda run: 0)
     code, out, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "4", "--format", "csv")
     assert code == 1 and out == "n,dec,split\n3,0,0\n4,0,0\n"
     assert err == ("FAIL dec-vs-split n=3: dec fibre is 0, not Motzkin(n) = 4\n"
@@ -787,7 +800,7 @@ def test_cli_dec_vs_split_identity_check_fails_on_a_wrong_count(monkeypatch, cap
 def test_cli_bipartite_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "2")
     assert code == 0 and not err
-    monkeypatch.setattr(tables, "fibre_size", lambda word: 4)
+    monkeypatch.setattr(tables, "_run_counter", lambda **_: lambda run: 4)
     code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "2", "--max-n", "2",
                              "--format", "csv")
     assert code == 1 and out == "n,m1,m2\n1,4,4\n2,4,4\n"
@@ -803,8 +816,13 @@ def test_cli_bipartite_identity_check_fails_on_a_wrong_count(monkeypatch, capsys
     (3, 1, "FAIL bipartite m=3 n=1: fibre is 5, not thm-2.8's m+1 = 4\n"),
 ])
 def test_cli_bipartite_product_formula_check_fails_on_a_wrong_count(monkeypatch, capsys, m, n, line):
-    fibre_size = tables.fibre_size
-    monkeypatch.setattr(tables, "fibre_size", lambda word: fibre_size(word) + (word == bipart(m, n)))
+    run_counter, wrong = tables._run_counter, bytes(bipart(m, n))
+
+    def counter(**kwargs):
+        count = run_counter(**kwargs)
+        return lambda run: count(run) + (run == wrong)
+
+    monkeypatch.setattr(tables, "_run_counter", counter)
     code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "3", "--max-n", "3",
                              "--format", "csv")
     assert code == 1 and err == line and out.startswith("n,m1,m2,m3\n")
