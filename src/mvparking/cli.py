@@ -116,7 +116,7 @@ def cmd_fibre(args) -> tuple[int, _Output]:
 
 
 def cmd_table(args) -> tuple[int, _Output]:
-    flags, _least, guard = tables.TABLES[args.which]
+    flags, _least, guard, _cap = tables.TABLES[args.which]
     sizes = [getattr(args, f"max_{flag}") for flag in flags]
     for flag, size in zip(flags, sizes):
         _guard(args, f"{flag}={size}", size, guard, args.which)
@@ -188,16 +188,6 @@ def cmd_verify(args) -> tuple[int, _Output]:
          "detail": r.detail, "counterexample": r.counterexample} for r in results])
 
 
-def _at_least(least: int):
-    """An argparse type: an integer no smaller than `least`."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    return integer
-
-
 def _output_flags(*formats: str) -> argparse.ArgumentParser:
     """The --format and --out flags of an operation that renders `formats`."""
     p = argparse.ArgumentParser(add_help=False)
@@ -235,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override the fibre size guard")
 
     group = operations("table", "reproduce an enumeration table", "which")
-    for which, (flags, least, guard) in tables.TABLES.items():
+    for which, (flags, _least, guard, _cap) in tables.TABLES.items():
         p = operation(group, which, cmd_table, tabular)
         for flag in flags:
-            p.add_argument(f"--max-{flag}", type=_at_least(least), default=guard)
+            p.add_argument(f"--max-{flag}", type=int, default=guard)
         p.add_argument("--jobs", type=int, choices=[1], default=1,
                        help="accepted so existing command lines parse; only 1")
         p.add_argument("--force", action="store_true", help="override the size guard")

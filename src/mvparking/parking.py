@@ -17,6 +17,7 @@ length with its MVP outcome, depth first.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -155,9 +156,9 @@ def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
 
 
 def is_parking_function(p: Iterable[int]) -> bool:
-    """True iff all cars park (same answer for classical and MVP rules)."""
+    """True iff all cars park, under either rule: iff the k-th smallest preference is <= k."""
     prefs = check_preference(p)
-    return _mvp(prefs, len(prefs)) is not None
+    return all(map(le, sorted(prefs), range(1, len(prefs) + 1)))
 
 
 def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:

@@ -341,8 +341,8 @@ def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
     holds n! states, about 140 MiB at n = 9 and 1 GiB at n = 10, so n above
     `DISTRIBUTION_CAP` is refused before any is built.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     if n > DISTRIBUTION_CAP:
         raise SizeCapExceeded(f"n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
     level = {bytes(n + 1): 1}

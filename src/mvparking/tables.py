@@ -8,9 +8,10 @@ sub-runs its cells share: dec-vs-split to n = 100 keeps about 5,000 memo
 entries.  A conjecture row counts all of S_n through one counter keyed by
 the raw runs instead: its permutations meet the same raw sub-runs again and
 again, so ranking each one before the lookup costs more than the hits it
-adds (S_9 about 2.7 times slower).  `TABLES` declares each table's sizes and
-guard.  A table lists each identity check it failed in `failures`, which no
-renderer writes.
+adds (S_9 about 2.7 times slower).  `TABLES` declares each table's sizes,
+least size, guard and cap; a builder checks its sizes against them before
+any cell.  A table lists each identity check it failed in `failures`, which
+no renderer writes.
 """
 
 from __future__ import annotations
@@ -42,18 +43,19 @@ __all__ = [
 
 Cell = int | str
 
-# Per table `<name>_table`: (the sizes its builder reads, in order, the least size that gives
-# cells, and the default and largest size the CLI runs without --force).  As for the verify
-# suites, a guard is the largest size measured to run in at most about 1.5 minutes in one fresh
-# process on a 2-vCPU VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.
-# bipartite 80x80 takes 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); dec-vs-split reaches
-# FIBRE_CAP, n = 255, in 20-32 s at 24 MiB.  bounds stays at 13: its P2-free dynamic program
-# holds 2^(n-1) states on dec(n).
-TABLES = {"bounds": (("n",), 1, 13), "bipartite": (("m", "n"), 1, 80),
-          "dec-vs-split": (("n",), 3, FIBRE_CAP), "conjecture": (("n",), 3, 8)}
 # Largest `conjecture_table` size, --force or not: n <= 10 takes 21-22 s at 126 MiB peak RSS on
 # a 2-vCPU VM (n <= 9: 1.8-2.4 s at 30 MiB), and n = 11 would need roughly ten times both.
 CONJECTURE_CAP = 10
+# Per table `<name>_table`: (the sizes its builder reads, in order, the least size that gives
+# cells, the default and largest size the CLI runs without --force, and the cap, --force or
+# not, on the cars of the largest cell: the sum of the sizes).  As for the verify suites, a guard
+# is the largest size measured to run in at most about 1.5 minutes in one fresh process on a
+# 2-vCPU VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.  bipartite
+# 80x80 takes 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); dec-vs-split reaches FIBRE_CAP,
+# n = 255, in 20-32 s at 24 MiB.  bounds stays at 13: its P2-free program holds 2^(n-1) states.
+TABLES = {"bounds": (("n",), 1, 13, FIBRE_CAP), "bipartite": (("m", "n"), 1, 80, FIBRE_CAP),
+          "dec-vs-split": (("n",), 3, FIBRE_CAP, FIBRE_CAP),
+          "conjecture": (("n",), 3, 8, CONJECTURE_CAP)}
 
 
 class ReportTable:
@@ -81,11 +83,15 @@ def _report(name: str, headers: list[str], rows, check, **metadata) -> ReportTab
     return ReportTable(name, headers, rows, metadata, check(rows))
 
 
-def _check_fibre_cap(cars: int, largest: str) -> None:
-    """Refuse a table whose `largest` cell, of `cars` cars, is above `FIBRE_CAP`
-    before its first cell, not at that cell."""
-    if cars > FIBRE_CAP:
-        raise SizeCapExceeded(f"{largest} has {cars} cars, above fibre cap FIBRE_CAP={FIBRE_CAP}")
+def _check_sizes(name: str, *sizes) -> None:
+    """Refuse, before table `name` counts a cell, a size that is not an exact int
+    of at least its least, and a largest cell of more cars than its cap."""
+    flags, least, _guard, cap = TABLES[name]
+    for flag, size in zip(flags, sizes):
+        if type(size) is not int or size < least:
+            raise ValueError(f"{name} table needs an int {flag} >= {least}, got {size!r}")
+    if sum(sizes) > cap:
+        raise SizeCapExceeded(f"{name} table's largest cell has {sum(sizes)} cars, above cap {cap}")
 
 
 def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
@@ -106,6 +112,7 @@ def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
 
 def bounds_table(max_n: int) -> ReportTable:
     """Subgraph/P2-free/valid/HS counts for the decreasing permutation."""
+    _check_sizes("bounds", max_n)
     return _report(
         "bounds", ["n", "subgraphs", "p2free", "valid", "hs"],
         ([n, (b := bounds(dec(n))).product_upper, b.p2free_count, b.fibre_size, b.hs_count]
@@ -120,6 +127,8 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
     The m = 1 column and the n = 1 row avoid 321 and 3412, so thm-2.8's
     product formula gives 2^n and m + 1 there.
     """
+    _check_sizes("bipartite", max_m, max_n)
+
     def check(rows):
         failures = [f"FAIL bipartite m={m}: n=2 fibre is {size}, not m+1+floor((m+1)^2/2) = {want}"
                     for m, size in enumerate(rows[1][1:] if max_n >= 2 else (), start=1)
@@ -130,7 +139,6 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
             f"FAIL bipartite m={m} n={n}: fibre is {rows[n - 1][m]}, not thm-2.8's {rule} = {want}"
             for m, n, want, rule in cells if rows[n - 1][m] != want]
 
-    _check_fibre_cap(max_m + max_n, f"bipart({max_m},{max_n})")
     count = _run_counter()
     return _report(
         "bipartite", ["n"] + [f"m{m}" for m in range(1, max_m + 1)],
@@ -144,8 +152,8 @@ def dec_vs_split_table(max_n: int) -> ReportTable:
 
     The dec column is checked against the Motzkin numbers.
     """
-    _check_fibre_cap(max_n, f"dec({max_n})")
-    motzkin, count = motzkin_numbers(max(max_n, 0)), _run_counter()
+    _check_sizes("dec-vs-split", max_n)
+    motzkin, count = motzkin_numbers(max_n), _run_counter()
     return _report(
         "dec-vs-split", ["n", "dec", "split"],
         ([n, _fibre_size(dec(n), count), _fibre_size(split_right(2, n - 2), count)]
@@ -179,10 +187,8 @@ def conjecture_table(max_n: int) -> ReportTable:
 
     Data for the largest-fibre question only; proves nothing.  Each row
     checks that its fibres partition the (n+1)^(n-1) parking functions.
-    Refuses max_n above `CONJECTURE_CAP` before the first row.
     """
-    if max_n > CONJECTURE_CAP:
-        raise SizeCapExceeded(f"conjecture n={max_n} above conjecture cap {CONJECTURE_CAP}")
+    _check_sizes("conjecture", max_n)
     failures: list[str] = []
     return _report(
         "conjecture", ["n", "max_fibre", "argmax_count", "split_fibre", "dec_fibre",

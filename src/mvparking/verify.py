@@ -358,6 +358,8 @@ def run_suite(name: str, n: int | None = None, m: int | None = None, seed: int =
     it reads; one that checks no case fails, since it proves nothing."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if any(cap is not None and type(cap) is not int for cap in (n, m)):
+        raise ValueError(f"caps must be ints or None, got n={n!r}, m={m!r}")
     check_caps([name], n)
     fn, flag, default, _guard = SUITES[name]
     cap = n if flag == "n" else m

@@ -249,6 +249,18 @@ BAD_SIZES = [  # (label, call, arguments, exception, message): sizes and indices
      "position must be an int in [1, 2], got True"),
     ("float position", perms.left_inversions, ((2, 1), 2.0), IndexError,
      "position must be an int in [1, 2], got 2.0"),
+    ("bool n", verify.run_suite, ("thm-2.8", True), ValueError,
+     "caps must be ints or None, got n=True, m=None"),
+    ("float n", verify.run_suite, ("thm-2.8", 2.0), ValueError,
+     "caps must be ints or None, got n=2.0, m=None"),
+    ("float m", verify.run_suite, ("thm-4.1", None, 1.5), ValueError,
+     "caps must be ints or None, got n=None, m=1.5"),
+    ("bool size", subgraphs.outcome_distribution, (True,), ValueError,
+     "n must be a positive int, got True"),
+    ("float size", subgraphs.outcome_distribution, (2.0,), ValueError,
+     "n must be a positive int, got 2.0"),
+    ("int subclass size", subgraphs.outcome_distribution, (Small.TWO,), ValueError,
+     "n must be a positive int, got <Small.TWO: 2>"),
 ]
 
 

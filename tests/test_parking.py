@@ -102,9 +102,9 @@ def test_both_processes_agree_on_parkability_exhaustive():
 @given(st.integers(1, 9).flatmap(
     lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n)))
 def test_sorted_characterisation(prefs):
-    # p is a parking function iff its sorted rearrangement satisfies a_i <= i
-    expected = all(a <= i for i, a in enumerate(sorted(prefs), start=1))
-    assert is_parking_function(tuple(prefs)) == expected
+    # p is a parking function iff its sorted rearrangement satisfies a_i <= i, which
+    # is_parking_function computes: check it against a simulation of the MVP rule
+    assert is_parking_function(tuple(prefs)) == (mvp_outcome(tuple(prefs)) is not None)
 
 
 def test_outcomes_deterministic():
@@ -145,6 +145,13 @@ def test_parking_function_walk_equals_the_filtered_scan_in_order():
     for n in range(1, 7):
         scan = [(p, mvp_outcome(p)) for p in all_preferences(n)]
         assert list(parking._parking_functions(n)) == [(p, w) for p, w in scan if w is not None]
+
+
+def test_is_parking_function_keeps_what_the_parking_walk_parks():
+    """The counting criterion against the MVP walk, on every vector of [n]^n."""
+    for n in range(1, 8):
+        parked = {p for p, _word in parking._parking_functions(n)}
+        assert {p for p in all_preferences(n) if is_parking_function(p)} == parked, n
 
 
 def test_parking_function_walk_counts_and_strictly_increases():

@@ -188,7 +188,7 @@ def test_fibre_via_subgraphs_lists_bipart_7_7():
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.0, 10, 11])
 def test_outcome_distribution_refuses_bad_or_oversized_n(n):
-    with pytest.raises(ValueError, match="cap 9" if n in (10, 11) else "positive integer"):
+    with pytest.raises(ValueError, match="cap 9" if n in (10, 11) else "positive int"):
         outcome_distribution(n)
 
 

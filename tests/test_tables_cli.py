@@ -163,6 +163,14 @@ def test_cli_fibre(capsys):
         "methods_agree": True}
 
 
+def test_cli_fibre_both_methods_report_a_difference(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fibre_brute", lambda word: subgraphs.fibre_brute(word)[1:])
+    code, out, _ = run_cli(capsys, "fibre", "--perm", "312", "--method", "both")
+    assert code == 1 and out.splitlines()[-1] == "FAIL subgraph and brute-force enumerations differ"
+    code, out, _ = run_cli(capsys, "fibre", "--perm", "312", "--method", "both", "--format", "json")
+    assert code == 1 and json.loads(out)["methods_agree"] is False
+
+
 def test_cli_fibre_refuses_n_above_fibre_cap(capsys):
     perm = ",".join(map(str, range(1, subgraphs.FIBRE_CAP + 2)))
     code, out, err = run_cli(capsys, "fibre", "--perm", perm, "--force")
@@ -375,14 +383,15 @@ def test_cli_table_guards(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["dec-vs-split", "--max-n", "256"], "dec(256) has 256 cars"),
-    (["bipartite", "--max-m", "85", "--max-n", "171"], "bipart(85,171) has 256 cars"),
+    (["dec-vs-split", "--max-n", "256"], "dec-vs-split table's largest cell has 256 cars"),
+    (["bipartite", "--max-m", "85", "--max-n", "171"],
+     "bipartite table's largest cell has 256 cars"),
 ])
 def test_cli_table_refuses_a_cell_above_the_fibre_cap_before_the_first(capsys, monkeypatch,
                                                                        argv, message):
     monkeypatch.setattr(tables, "_fibre_size", lambda *_: pytest.fail("a cell was counted"))
     code, out, err = run_cli(capsys, "table", *argv, "--force")
-    assert (code, out, err) == (2, "", f"error: {message}, above fibre cap FIBRE_CAP=255\n")
+    assert (code, out, err) == (2, "", f"error: {message}, above cap 255\n")
 
 
 def test_cli_table_force_overrides_guard(capsys):
@@ -400,7 +409,58 @@ def test_cli_conjecture_above_its_cap_exits_2_at_once(capsys, monkeypatch):
     monkeypatch.setattr(tables, "_conjecture_row", row)
     code, out, err = run_cli(capsys, "table", "conjecture", "--max-n", "11", "--force")
     assert code == 2 and not out
-    assert err == "error: conjecture n=11 above conjecture cap 10\n"
+    assert err == "error: conjecture table's largest cell has 11 cars, above cap 10\n"
+
+
+BAD_TABLE_SIZES = [  # (table, the builder's sizes, the refusal, its message)
+    ("bounds", (True,), ValueError, "bounds table needs an int n >= 1, got True"),
+    ("bounds", (4.0,), ValueError, "bounds table needs an int n >= 1, got 4.0"),
+    ("bounds", (0,), ValueError, "bounds table needs an int n >= 1, got 0"),
+    ("bounds", (256,), subgraphs.SizeCapExceeded,
+     "bounds table's largest cell has 256 cars, above cap 255"),
+    ("bipartite", (True, 2), ValueError, "bipartite table needs an int m >= 1, got True"),
+    ("bipartite", (2, 4.0), ValueError, "bipartite table needs an int n >= 1, got 4.0"),
+    ("bipartite", (0, 3), ValueError, "bipartite table needs an int m >= 1, got 0"),
+    ("bipartite", (85, 171), subgraphs.SizeCapExceeded,
+     "bipartite table's largest cell has 256 cars, above cap 255"),
+    ("dec-vs-split", (True,), ValueError, "dec-vs-split table needs an int n >= 3, got True"),
+    ("dec-vs-split", (4.0,), ValueError, "dec-vs-split table needs an int n >= 3, got 4.0"),
+    ("dec-vs-split", (2,), ValueError, "dec-vs-split table needs an int n >= 3, got 2"),
+    ("dec-vs-split", (256,), subgraphs.SizeCapExceeded,
+     "dec-vs-split table's largest cell has 256 cars, above cap 255"),
+    ("conjecture", (True,), ValueError, "conjecture table needs an int n >= 3, got True"),
+    ("conjecture", (4.0,), ValueError, "conjecture table needs an int n >= 3, got 4.0"),
+    ("conjecture", (2,), ValueError, "conjecture table needs an int n >= 3, got 2"),
+    ("conjecture", (11,), subgraphs.SizeCapExceeded,
+     "conjecture table's largest cell has 11 cars, above cap 10"),
+]
+
+
+@pytest.mark.parametrize("which, sizes, exc, message", BAD_TABLE_SIZES,
+                         ids=[f"{which}-{sizes}" for which, sizes, *_ in BAD_TABLE_SIZES])
+def test_every_table_refuses_bad_sizes_before_any_cell(capsys, monkeypatch, which, sizes, exc,
+                                                       message):
+    """As a library call, and through the CLI with --force, so past every guard."""
+    for worker in ("_report", "bounds", "_fibre_size", "_run_counter", "_conjecture_row",
+                   "motzkin_numbers"):
+        monkeypatch.setattr(tables, worker, lambda *_a, **_k: pytest.fail("a cell was counted"))
+    with pytest.raises(exc) as info:
+        getattr(tables, f"{which.replace('-', '_')}_table")(*sizes)
+    assert type(info.value) is exc and str(info.value) == message
+    flags = tables.TABLES[which][0]
+    argv = [arg for flag, size in zip(flags, sizes) for arg in (f"--max-{flag}", str(size))]
+    try:
+        code = cli.main(["table", which, *argv, "--force"])
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert (code, out, len(errors)) == (2, "", 1)
+    if all(type(size) is int for size in sizes):
+        assert err == f"error: {message}\n"
+    else:  # argparse's int type refuses the text of a bool or a float, after its usage line
+        assert errors[0].startswith(f"mvpark table {which}: error: argument --max-")
+        assert "invalid int value" in errors[0]
 
 
 def test_cli_verify(capsys):
@@ -455,7 +515,7 @@ def _guarded_operations():
     is declared: (argv, the refusal's message, module and name of the worker
     that must not run before the check, what a stub of that worker returns)."""
     stub_table = tables.ReportTable("stub", ["n"], [[1]])
-    for which, (flags, _least, guard) in tables.TABLES.items():
+    for which, (flags, _least, guard, _cap) in tables.TABLES.items():
         for flag in flags:
             yield pytest.param(
                 ["table", which, f"--max-{flag}", str(guard + 1)],
@@ -609,8 +669,8 @@ def test_cli_imports_no_process_machinery():
     ["conjecture", "--max-n", "2"],
 ])
 def test_cli_table_rejects_sizes_without_cells(capsys, argv):
-    out, err = usage_error(capsys, "table", *argv)
-    assert not out and "at least" in err
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2 and not out and "table needs an int" in err
 
 
 def test_cli_conjecture_identity_check_fails_on_a_wrong_count(monkeypatch, capsys):
