@@ -11,6 +11,11 @@ argparse parser declaring exactly the options it reads; a `cmd_*` checks only
 rules that span two flags or need parsed input, and every size guard through
 `_guard`, before any work.  Each `cmd_*` returns its exit status and an
 `_Output`; `main` alone renders and writes that output.
+
+`main` builds only the parsers on the path its argv names, since argparse
+makes a help formatter per declared option, and builds the whole tree where
+argparse's text lists the siblings: help at the root or at a group, a typo, or
+a flag the operation does not read (see `build_parser`).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import NamedTuple
 
 from . import tables, verify
@@ -196,16 +202,38 @@ def _output_flags(*formats: str) -> argparse.ArgumentParser:
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The `mvpark` parser: the whole tree, or only the branch that `argv` names.
+
+    Every `add_argument` makes an argparse `HelpFormatter` (gettext and
+    `get_terminal_size`), so the whole tree, 23 parsers for 17 operations,
+    takes 2.4-4.4 ms to build on a 2-vCPU VM, more than the counting of a
+    small table, against 0.3-0.7 ms for one branch.  Given `argv`, the parser
+    holds the root, the command `argv[0]` names and, under a group (`table`,
+    `motzkin`, `sandpile`), the operation `argv[1]` names, with the one
+    `--format` parent that operation uses: a subparser's prog, usage, help
+    and errors do not depend on its siblings.  When `argv` names no known
+    command or operation (`--help` at the root or at a group, a typo, an
+    option before the operation), the whole tree is built, since those texts
+    list the siblings.
+    """
+    path = None if argv is None else list(argv[:2])
+    built = []  # the operation parsers made
+
+    def on_path(*names: str) -> bool:
+        return path is None or list(names) == path[:len(names)]
+
     parser = argparse.ArgumentParser(
         prog="mvpark",
         description="Parking processes, outcome fibres, and their correspondences.")
     commands = parser.add_subparsers(dest="command", required=True)
-    scalar, tabular = _output_flags("pretty", "json"), _output_flags("pretty", "csv", "json")
+    output_flags = cache(_output_flags)  # one parent per format list, made when first used
+    tabular = ("pretty", "csv", "json")
 
-    def operation(group, name, func, flags=scalar, help=None, **defaults):
-        p = group.add_parser(name, parents=[flags], help=help)
+    def operation(group, name, func, formats=("pretty", "json"), help=None, **defaults):
+        p = group.add_parser(name, parents=[output_flags(*formats)], help=help)
         p.set_defaults(func=func, **defaults)
+        built.append(p)
         return p
 
     def operations(name, help, dest):
@@ -214,69 +242,88 @@ def build_parser() -> argparse.ArgumentParser:
     def prefs(p):
         p.add_argument("-p", "--prefs", required=True, metavar="PREFS")
 
-    p = operation(commands, "outcome", cmd_outcome, help="run one parking process")
-    p.add_argument("--model", choices=["classical", "mvp"], required=True)
-    prefs(p)
-    p.add_argument("--trace", action="store_true", help="print each bump")
+    if on_path("outcome"):
+        p = operation(commands, "outcome", cmd_outcome, help="run one parking process")
+        p.add_argument("--model", choices=["classical", "mvp"], required=True)
+        prefs(p)
+        p.add_argument("--trace", action="store_true", help="print each bump")
 
-    p = operation(commands, "fibre", cmd_fibre, tabular, help="enumerate an outcome fibre")
-    p.add_argument("--perm", required=True, metavar="PERM")
-    p.add_argument("--method", choices=["subgraph", "brute", "both"], default="subgraph")
-    p.add_argument("--force", action="store_true", help="override the fibre size guard")
+    if on_path("fibre"):
+        p = operation(commands, "fibre", cmd_fibre, tabular, help="enumerate an outcome fibre")
+        p.add_argument("--perm", required=True, metavar="PERM")
+        p.add_argument("--method", choices=["subgraph", "brute", "both"], default="subgraph")
+        p.add_argument("--force", action="store_true", help="override the fibre size guard")
 
-    group = operations("table", "reproduce an enumeration table", "which")
-    for which, (flags, _least, guard, _cap) in tables.TABLES.items():
-        p = operation(group, which, cmd_table, tabular)
-        for flag in flags:
-            p.add_argument(f"--max-{flag}", type=int, default=guard)
-        p.add_argument("--jobs", type=int, choices=[1], default=1,
-                       help="accepted so existing command lines parse; only 1")
-        p.add_argument("--force", action="store_true", help="override the size guard")
+    if on_path("table"):
+        group = operations("table", "reproduce an enumeration table", "which")
+        for which, (flags, _least, guard, _cap) in tables.TABLES.items():
+            if on_path("table", which):
+                p = operation(group, which, cmd_table, tabular)
+                for flag in flags:
+                    p.add_argument(f"--max-{flag}", type=int, default=guard)
+                p.add_argument("--jobs", type=int, choices=[1], default=1,
+                               help="accepted so existing command lines parse; only 1")
+                p.add_argument("--force", action="store_true", help="override the size guard")
 
-    group = operations("motzkin", "lattice-path and non-crossing matching operations", "sub")
-    prefs(operation(group, "phi", cmd_motzkin,
-                    op=lambda a: preference_path(parse_preference(a.prefs))))
-    p = operation(group, "inverse", cmd_motzkin,
-                  op=lambda a: format_preference(path_to_preference(a.path)))
-    p.add_argument("--path", required=True, metavar="STEPS")
-    prefs(operation(group, "rep", cmd_motzkin, op=lambda a: format_preference(
-        decreasing_representative(parse_preference(a.prefs)))))
-    p = operation(group, "noncross", cmd_noncross)
-    p.add_argument("-n", type=int, required=True, metavar="N")
-    p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--force", action="store_true", help="override the noncross size guard")
+    if on_path("motzkin"):
+        group = operations("motzkin", "lattice-path and non-crossing matching operations", "sub")
+        if on_path("motzkin", "phi"):
+            prefs(operation(group, "phi", cmd_motzkin,
+                            op=lambda a: preference_path(parse_preference(a.prefs))))
+        if on_path("motzkin", "inverse"):
+            p = operation(group, "inverse", cmd_motzkin,
+                          op=lambda a: format_preference(path_to_preference(a.path)))
+            p.add_argument("--path", required=True, metavar="STEPS")
+        if on_path("motzkin", "rep"):
+            prefs(operation(group, "rep", cmd_motzkin, op=lambda a: format_preference(
+                decreasing_representative(parse_preference(a.prefs)))))
+        if on_path("motzkin", "noncross"):
+            p = operation(group, "noncross", cmd_noncross)
+            p.add_argument("-n", type=int, required=True, metavar="N")
+            p.add_argument("--count", action="store_true", help="print the count only")
+            p.add_argument("--force", action="store_true", help="override the noncross size guard")
 
-    group = operations("sandpile", "sandpile operations on K_n", "sub")
-    for name, op in [
-        ("stabilise", _stabilise),
-        ("recurrent", lambda a: [
-            "recurrent" if is_recurrent(parse_config(a.config)) else "not recurrent"]),
-        ("minrec", lambda a: _reduction(minrec_trace, a)),
-        ("minrec-classical", lambda a: _reduction(minrec_classical_trace, a)),
-        ("cantop", lambda a: [format_permutation(canonical_toppling(parse_config(a.config)))]),
-    ]:
-        p = operation(group, name, cmd_sandpile, op=op)
-        p.add_argument("-c", "--config", required=True, metavar="CONFIG")
-        if name in ("stabilise", "minrec", "minrec-classical"):
-            p.add_argument("--trace", action="store_true",
-                           help="print the toppling or reduction steps")
-        if name == "stabilise":
-            p.add_argument("--force", action="store_true", help="override the grain guard")
-    prefs(operation(group, "mvp-outcome", cmd_sandpile, op=lambda a: [
-        format_permutation(mvp_outcome_via_sandpile(parse_preference(a.prefs)))]))
+    if on_path("sandpile"):
+        group = operations("sandpile", "sandpile operations on K_n", "sub")
+        for name, op in [
+            ("stabilise", _stabilise),
+            ("recurrent", lambda a: [
+                "recurrent" if is_recurrent(parse_config(a.config)) else "not recurrent"]),
+            ("minrec", lambda a: _reduction(minrec_trace, a)),
+            ("minrec-classical", lambda a: _reduction(minrec_classical_trace, a)),
+            ("cantop", lambda a: [format_permutation(canonical_toppling(parse_config(a.config)))]),
+        ]:
+            if not on_path("sandpile", name):
+                continue
+            p = operation(group, name, cmd_sandpile, op=op)
+            p.add_argument("-c", "--config", required=True, metavar="CONFIG")
+            if name in ("stabilise", "minrec", "minrec-classical"):
+                p.add_argument("--trace", action="store_true",
+                               help="print the toppling or reduction steps")
+            if name == "stabilise":
+                p.add_argument("--force", action="store_true", help="override the grain guard")
+        if on_path("sandpile", "mvp-outcome"):
+            prefs(operation(group, "mvp-outcome", cmd_sandpile, op=lambda a: [
+                format_permutation(mvp_outcome_via_sandpile(parse_preference(a.prefs)))]))
 
-    p = operation(commands, "verify", cmd_verify, help="run exhaustive property suites")
-    p.add_argument("--suite", choices=["all"] + verify.SUITE_NAMES, default="all")
-    p.add_argument("--n", type=int, default=None, help="override the n cap (suites that read one)")
-    p.add_argument("--m", type=int, default=None, help="override the m cap (suites that read one)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomised abelian checks; read by no other suite")
-    p.add_argument("--force", action="store_true", help="override the per-suite cap guards")
-    return parser
+    if on_path("verify"):
+        p = operation(commands, "verify", cmd_verify, help="run exhaustive property suites")
+        p.add_argument("--suite", choices=["all"] + verify.SUITE_NAMES, default="all")
+        p.add_argument("--n", type=int, default=None,
+                       help="override the n cap (suites that read one)")
+        p.add_argument("--m", type=int, default=None,
+                       help="override the m cap (suites that read one)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for the randomised abelian checks; read by no other suite")
+        p.add_argument("--force", action="store_true", help="override the per-suite cap guards")
+    return parser if built else build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, unread = build_parser(argv).parse_known_args(argv)
+    if unread:  # argparse refuses them under the root's usage line, which lists every command
+        args = build_parser().parse_args(argv)
     try:
         status, out = args.func(args)
         if args.format == "csv" or (out.text is None and out.data is None):

@@ -52,8 +52,11 @@ CONJECTURE_CAP = 10
 # is the largest size measured to run in at most about 1.5 minutes in one fresh process on a
 # 2-vCPU VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.  bipartite
 # 80x80 takes 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); dec-vs-split reaches FIBRE_CAP,
-# n = 255, in 20-32 s at 24 MiB.  bounds stays at 13: its P2-free program holds 2^(n-1) states.
-TABLES = {"bounds": (("n",), 1, 13, FIBRE_CAP), "bipartite": (("m", "n"), 1, 80, FIBRE_CAP),
+# n = 255, in 20-32 s at 24 MiB.  bounds keeps its guard of 13, so its default output stays put,
+# but is capped by memory: its P2-free program roughly doubles its peak with each n, and a fresh
+# process peaked at 198 MiB for n = 21, 322 MiB for n = 22, 593 MiB for n = 23 (6 s) and
+# 1140 MiB for n = 24, so 23 is the largest n under 1 GiB.
+TABLES = {"bounds": (("n",), 1, 13, 23), "bipartite": (("m", "n"), 1, 80, FIBRE_CAP),
           "dec-vs-split": (("n",), 3, FIBRE_CAP, FIBRE_CAP),
           "conjecture": (("n",), 3, 8, CONJECTURE_CAP)}
 

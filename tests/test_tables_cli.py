@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -417,7 +418,9 @@ BAD_TABLE_SIZES = [  # (table, the builder's sizes, the refusal, its message)
     ("bounds", (4.0,), ValueError, "bounds table needs an int n >= 1, got 4.0"),
     ("bounds", (0,), ValueError, "bounds table needs an int n >= 1, got 0"),
     ("bounds", (256,), subgraphs.SizeCapExceeded,
-     "bounds table's largest cell has 256 cars, above cap 255"),
+     "bounds table's largest cell has 256 cars, above cap 23"),
+    ("bounds", (24,), subgraphs.SizeCapExceeded,
+     "bounds table's largest cell has 24 cars, above cap 23"),
     ("bipartite", (True, 2), ValueError, "bipartite table needs an int m >= 1, got True"),
     ("bipartite", (2, 4.0), ValueError, "bipartite table needs an int n >= 1, got 4.0"),
     ("bipartite", (0, 3), ValueError, "bipartite table needs an int m >= 1, got 0"),
@@ -658,6 +661,94 @@ def test_cli_imports_no_process_machinery():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=_env_with_src(), check=True)
     assert result.stdout == "[]\n"
+
+
+def _operation_paths(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """The command words of every operation in the tree under `parser`."""
+    groups = [action.choices for action in parser._actions if isinstance(action.choices, dict)]
+    if not groups:
+        yield path
+        return
+    for name, sub in groups[0].items():
+        yield from _operation_paths(sub, (*path, name))
+
+
+OPERATION_PATHS = list(_operation_paths(cli.build_parser()))
+NARROW_CASES = [
+    *([*path, "--help"] for path in OPERATION_PATHS),
+    *([*path, "--format", "nope"] for path in OPERATION_PATHS),
+    # a flag the operation does not read is refused under the root's usage line
+    ["outcome", "--model", "mvp", "-p", "1", "--jobs", "2"],
+    ["motzkin", "phi", "-p", "1", "-n", "3"], ["sandpile", "recurrent", "-c", "0", "-x"],
+    ["table", "bounds", "--max-n", "1", "--seed", "1"],
+    ["verify", "--suite", "thm-4.1", "--m", "1", "--trace"],
+    [], ["--help"], ["table", "--help"], ["motzkin", "--help"], ["sandpile", "--help"],
+    ["tabel"], ["table"], ["table", "nope"], ["motzkin", "nope"], ["sandpile", "nope"],
+    ["outcome", "--model", "mvp"], ["motzkin", "phi"],
+    ["table", "--max-n", "3", "bounds"], ["--format", "json", "outcome"],
+    ["table", "bounds", "--max-n", "3", "--jobs", "2"],
+    ["outcome", "--model", "mvp", "-p", "3,1,1,2", "--format", "json"],
+    ["table", "bounds", "--max-n", "4", "--format", "csv"],
+    ["sandpile", "stabilise", "-c", "3,0,1", "--trace"],
+    ["verify", "--suite", "thm-4.1", "--m", "3"],
+]
+
+
+def _exit_out_err(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_every_operation_path_is_found():
+    assert len(OPERATION_PATHS) == len(set(OPERATION_PATHS)) >= 17
+    assert {("outcome",), ("table", "bipartite"), ("sandpile", "mvp-outcome"),
+            ("verify",)} <= set(OPERATION_PATHS)
+
+
+@pytest.mark.parametrize("argv", NARROW_CASES, ids=" ".join)
+def test_the_parser_built_for_argv_answers_as_the_whole_tree(capsys, monkeypatch, argv):
+    narrow = _exit_out_err(capsys, argv)
+    whole_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole_tree())
+    assert narrow == _exit_out_err(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "bipartite", "--max-m", "2", "--max-n", "2", "--format", "csv", "--jobs", "1"],
+    ["verify", "--suite", "thm-4.1", "--m", "2"],
+    ["sandpile", "stabilise", "-c", "3,0,1"],
+])
+def test_a_command_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv):
+    """The root, the group, the operation and the one --format parent it uses."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, err = _exit_out_err(capsys, argv)
+    assert (code, err) == (0, "")
+    words = 2 if argv[0] in ("table", "motzkin", "sandpile") else 1
+    assert len(built) <= 1 + words + 1
+    built.clear()
+    cli.build_parser()
+    assert len(built) > len(OPERATION_PATHS)  # the whole tree, for the set-up probe and --help
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    seen = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: seen.append(argv) or build(argv))
+    monkeypatch.setattr(sys, "argv", ["mvpark", "outcome", "--model", "mvp", "-p", "3,1,1,2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "3412\n"
+    assert seen == [["outcome", "--model", "mvp", "-p", "3,1,1,2"]]
 
 
 @pytest.mark.parametrize("argv", [
