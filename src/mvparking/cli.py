@@ -7,10 +7,11 @@ preconditions, guard limits, options the operation does not read, output
 that cannot be written).
 
 Each operation (`outcome`, `table bounds`, `sandpile minrec`, ...) has its own
-argparse parser declaring exactly the options it reads; a `cmd_*` checks only
-rules that span two flags or need parsed input, and every size guard through
-`_guard`, before any work.  Each `cmd_*` returns its exit status and an
-`_Output`; `main` alone renders and writes that output.
+argparse parser declaring exactly the options it reads, its `--format`
+choices and `--out` among them; a `cmd_*` checks only rules that span two
+flags or need parsed input, and every size guard through `_guard`, before any
+work.  Each `cmd_*` returns its exit status and an `_Output`; `main` alone
+renders and writes that output.
 
 `main` builds only the parsers on the path its argv names, since argparse
 makes a help formatter per declared option, and builds the whole tree where
@@ -25,7 +26,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from functools import cache
 from typing import NamedTuple
 
 from . import tables, verify
@@ -68,9 +68,9 @@ def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
 
 
 class _Output(NamedTuple):
-    """What one command produced: `text` is written by --format pretty,
-    `data` dumped by --format json and `table` rendered by --format csv.
-    An output with neither text nor data is rendered from its table."""
+    """What one command produced: `text` is written by --format pretty and
+    `data` dumped by --format json, unless the command returns a `table`,
+    which is then rendered in every format."""
 
     text: str | None
     data: object
@@ -194,28 +194,19 @@ def cmd_verify(args) -> tuple[int, _Output]:
          "detail": r.detail, "counterexample": r.counterexample} for r in results])
 
 
-def _output_flags(*formats: str) -> argparse.ArgumentParser:
-    """The --format and --out flags of an operation that renders `formats`."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=formats, default="pretty")
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-    return p
-
-
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The `mvpark` parser: the whole tree, or only the branch that `argv` names.
 
     Every `add_argument` makes an argparse `HelpFormatter` (gettext and
-    `get_terminal_size`), so the whole tree, 23 parsers for 17 operations,
+    `get_terminal_size`), so the whole tree, 21 parsers for 17 operations,
     takes 2.4-4.4 ms to build on a 2-vCPU VM, more than the counting of a
     small table, against 0.3-0.7 ms for one branch.  Given `argv`, the parser
     holds the root, the command `argv[0]` names and, under a group (`table`,
-    `motzkin`, `sandpile`), the operation `argv[1]` names, with the one
-    `--format` parent that operation uses: a subparser's prog, usage, help
-    and errors do not depend on its siblings.  When `argv` names no known
-    command or operation (`--help` at the root or at a group, a typo, an
-    option before the operation), the whole tree is built, since those texts
-    list the siblings.
+    `motzkin`, `sandpile`), the operation `argv[1]` names: a subparser's
+    prog, usage, help and errors do not depend on its siblings.  When `argv`
+    names no known command or operation (`--help` at the root or at a group,
+    a typo, an option before the operation), the whole tree is built, since
+    those texts list the siblings.
     """
     path = None if argv is None else list(argv[:2])
     built = []  # the operation parsers made
@@ -227,11 +218,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         prog="mvpark",
         description="Parking processes, outcome fibres, and their correspondences.")
     commands = parser.add_subparsers(dest="command", required=True)
-    output_flags = cache(_output_flags)  # one parent per format list, made when first used
     tabular = ("pretty", "csv", "json")
 
     def operation(group, name, func, formats=("pretty", "json"), help=None, **defaults):
-        p = group.add_parser(name, parents=[output_flags(*formats)], help=help)
+        p = group.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default="pretty")
+        p.add_argument("--out", metavar="PATH", help="write output to a file")
         p.set_defaults(func=func, **defaults)
         built.append(p)
         return p
@@ -326,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         status, out = args.func(args)
-        if args.format == "csv" or (out.text is None and out.data is None):
+        if out.table is not None:
             text = getattr(tables, f"render_{args.format}")(out.table)
         else:
             text = json.dumps(out.data, indent=2) if args.format == "json" else out.text
@@ -346,10 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def console_main() -> None:
-    raise SystemExit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -277,24 +277,20 @@ def fibre_size(pi: Iterable[int]) -> int:
     of its runs' counts.  For a run r with its largest car at index p,
     count(r) = count(r[:p])·count(r[p+1:]) + Σ_{q>p} count(r[:p] + r[q] +
     r[p+1:q])·count(r[q+1:]), and a run of at most one car counts 1.
-    pi itself is one run.  Only the order of a run's cars matters, so the
-    memo keys each sub-run by its rank pattern, the ranks 0..k-1 of its k
-    cars in spot order: runs with the same pattern count once.  Refuses n
-    above `FIBRE_CAP`.
+    pi itself is one run, counted by a fresh `_run_counter()`.  Only the
+    order of a run's cars matters, so the memo keys each sub-run by its rank
+    pattern, the ranks 0..k-1 of its k cars in spot order: runs with the
+    same pattern count once.  Refuses n above `FIBRE_CAP`.
     """
-    return _fibre_size(check_permutation(pi))
-
-
-def _fibre_size(word, count=None) -> int:
-    """`fibre_size` on a checked permutation, through `count`, a `_run_counter()` that
-    several calls share, or through a fresh one."""
-    return (count or _run_counter())(bytes(_capped(word)))
+    return _run_counter()(_capped(check_permutation(pi)))
 
 
 def _run_counter(by_pattern: bool = True):
-    """A fresh `count(run)` of `fibre_size`, on bytes, with its memo as `count.memo`.
+    """A fresh `count(word)`: `fibre_size` of a checked permutation, with no cap
+    check, its memo as `count.memo`.  Several calls may share one counter.
 
-    The memo, shared by every run it counts, holds only shorter sub-runs of
+    Runs are bytes inside: `word` is encoded once, and each sub-run is a slice.
+    The memo, shared by every word it counts, holds only shorter sub-runs of
     three or more cars; shorter ones count at once.  By default each is keyed
     by its rank pattern (`run.translate`): dec(30) then keeps 236 entries,
     against about 3.0M raw ones.  With `by_pattern` false the key is the raw run,
@@ -303,7 +299,8 @@ def _run_counter(by_pattern: bool = True):
     """
     memo: dict[bytes, int] = {}  # smaller than tuples, and in fewer allocator size classes
 
-    def count(run):
+    def count(word):
+        run = bytes(word)  # a sub-run from `sub` is bytes already, and `bytes` returns it
         p = run.index(max(run))
         head, tail = run[:p], run[p + 1:]
         ways = sub(head) * sub(tail)
@@ -430,7 +427,7 @@ def bounds(pi: Iterable[int]) -> FibreBounds:
     return FibreBounds(
         product_upper=prod(1 + len(s) for s in linv[1:]),
         p2free_count=_p2_free_count(linv),
-        fibre_size=_fibre_size(word),
+        fibre_size=_run_counter()(_capped(word)),
         hs_count=_hs_count(linv),
         single_arc_lower=1 + sum(map(len, linv)),
     )

@@ -25,7 +25,7 @@ from math import comb
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import FIBRE_CAP, SizeCapExceeded, _fibre_size, _run_counter, bounds
+from .subgraphs import FIBRE_CAP, SizeCapExceeded, _run_counter, bounds
 
 __all__ = [
     "CONJECTURE_CAP",
@@ -145,8 +145,7 @@ def bipartite_table(max_m: int, max_n: int) -> ReportTable:
     count = _run_counter()
     return _report(
         "bipartite", ["n"] + [f"m{m}" for m in range(1, max_m + 1)],
-        ([n, *(_fibre_size(bipart(m, n), count) for m in range(1, max_m + 1))]
-         for n in range(1, max_n + 1)),
+        ([n, *(count(bipart(m, n)) for m in range(1, max_m + 1))] for n in range(1, max_n + 1)),
         check, max_m=max_m, max_n=max_n)
 
 
@@ -159,8 +158,7 @@ def dec_vs_split_table(max_n: int) -> ReportTable:
     motzkin, count = motzkin_numbers(max_n), _run_counter()
     return _report(
         "dec-vs-split", ["n", "dec", "split"],
-        ([n, _fibre_size(dec(n), count), _fibre_size(split_right(2, n - 2), count)]
-         for n in range(3, max_n + 1)),
+        ([n, count(dec(n)), count(split_right(2, n - 2))] for n in range(3, max_n + 1)),
         lambda rows: [f"FAIL dec-vs-split n={n}: dec fibre is {size}, not Motzkin(n) = {motzkin[n]}"
                       for n, size, _ in rows if size != motzkin[n]],
         max_n=max_n)
@@ -170,7 +168,7 @@ def _conjecture_row(n: int, failures: list[str]) -> list[Cell]:
     count = _run_counter(by_pattern=False)
     total, best, argmax = 0, -1, []
     for word in permutations(range(1, n + 1)):  # lexicographic: argmax[0] is the least
-        size = count(bytes(word))
+        size = count(word)
         total += size
         if size > best:
             best, argmax = size, []
@@ -180,8 +178,8 @@ def _conjecture_row(n: int, failures: list[str]) -> list[Cell]:
     if total != parking_functions:
         failures.append(f"FAIL conjecture n={n}: fibre sizes sum to {total}, "
                         f"not (n+1)^(n-1) = {parking_functions}")
-    split_size = count(bytes(split_right(2, n - 2)))
-    return [n, best, len(argmax), split_size, count(bytes(dec(n))),
+    split_size = count(split_right(2, n - 2))
+    return [n, best, len(argmax), split_size, count(dec(n)),
             "yes" if split_size == best else "no", format_permutation(argmax[0])]
 
 

@@ -390,7 +390,7 @@ def test_cli_table_guards(capsys):
 ])
 def test_cli_table_refuses_a_cell_above_the_fibre_cap_before_the_first(capsys, monkeypatch,
                                                                        argv, message):
-    monkeypatch.setattr(tables, "_fibre_size", lambda *_: pytest.fail("a cell was counted"))
+    monkeypatch.setattr(tables, "_run_counter", lambda **_: pytest.fail("a cell was counted"))
     code, out, err = run_cli(capsys, "table", *argv, "--force")
     assert (code, out, err) == (2, "", f"error: {message}, above cap 255\n")
 
@@ -444,8 +444,7 @@ BAD_TABLE_SIZES = [  # (table, the builder's sizes, the refusal, its message)
 def test_every_table_refuses_bad_sizes_before_any_cell(capsys, monkeypatch, which, sizes, exc,
                                                        message):
     """As a library call, and through the CLI with --force, so past every guard."""
-    for worker in ("_report", "bounds", "_fibre_size", "_run_counter", "_conjecture_row",
-                   "motzkin_numbers"):
+    for worker in ("_report", "bounds", "_run_counter", "_conjecture_row", "motzkin_numbers"):
         monkeypatch.setattr(tables, worker, lambda *_a, **_k: pytest.fail("a cell was counted"))
     with pytest.raises(exc) as info:
         getattr(tables, f"{which.replace('-', '_')}_table")(*sizes)
@@ -605,6 +604,23 @@ def _env_with_src() -> dict[str, str]:
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["outcome", "--model", "mvp", "-p", "3,1,1,2"], 0, "3412\n", ""),
+    ([], 2, "", "mvpark: error: the following arguments are required: command\n"),
+    (["sandpile", "recurrent", "-c", "5,0,0"], 2, "", "error: (5, 0, 0) is not stable\n"),
+], ids=["outcome", "no-argument", "unstable-config"])
+def test_the_console_entry_runs_as_the_installed_launcher_does(argv, code, out, err):
+    """The launcher that pip writes for `[project.scripts]` runs `sys.exit(entry())`."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, entry = re.search(r'^\[project\.scripts\]\nmvpark = "([\w.]+):(\w+)"$', text,
+                              re.MULTILINE).groups()
+    launcher = f"import sys; from {module} import {entry}; sys.exit({entry}())"
+    result = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                            text=True, env=_env_with_src())
+    assert (result.returncode, result.stdout) == (code, out)
+    assert result.stderr.endswith(err)
+
+
 def test_cli_closed_stdout_exits_2_without_a_traceback():
     with subprocess.Popen(  # about 790 kB of output, far more than a pipe holds
             [sys.executable, "-m", "mvparking.cli", "motzkin", "noncross", "-n", "13"],
@@ -723,7 +739,7 @@ def test_the_parser_built_for_argv_answers_as_the_whole_tree(capsys, monkeypatch
     ["sandpile", "stabilise", "-c", "3,0,1"],
 ])
 def test_a_command_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv):
-    """The root, the group, the operation and the one --format parent it uses."""
+    """The root, the group and the operation: no parent parser for --format and --out."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -735,10 +751,10 @@ def test_a_command_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv
     code, _, err = _exit_out_err(capsys, argv)
     assert (code, err) == (0, "")
     words = 2 if argv[0] in ("table", "motzkin", "sandpile") else 1
-    assert len(built) <= 1 + words + 1
+    assert len(built) == 1 + words
     built.clear()
-    cli.build_parser()
-    assert len(built) > len(OPERATION_PATHS)  # the whole tree, for the set-up probe and --help
+    cli.build_parser()  # the whole tree, for the set-up probe and --help
+    assert len(built) == len(OPERATION_PATHS) + 4  # the root and three groups besides
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
@@ -967,7 +983,7 @@ def test_cli_bipartite_identity_check_fails_on_a_wrong_count(monkeypatch, capsys
     (3, 1, "FAIL bipartite m=3 n=1: fibre is 5, not thm-2.8's m+1 = 4\n"),
 ])
 def test_cli_bipartite_product_formula_check_fails_on_a_wrong_count(monkeypatch, capsys, m, n, line):
-    run_counter, wrong = tables._run_counter, bytes(bipart(m, n))
+    run_counter, wrong = tables._run_counter, bipart(m, n)
 
     def counter(**kwargs):
         count = run_counter(**kwargs)
