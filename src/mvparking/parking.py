@@ -65,17 +65,19 @@ def check_preference(p: Iterable[int]) -> tuple[int, ...]:
     return prefs
 
 
+def _parse_ints(text, what, check):
+    """`check` on the comma-separated ints of `text`, or on its digits if it has no comma."""
+    text = text.strip()
+    parts = text.split(",") if "," in text else list(text)
+    try:
+        return check(int(t) for t in parts)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from None
+
+
 def parse_preference(text: str) -> tuple[int, ...]:
     """Parse "3,1,1,2" or, for n <= 9, the digit string "3112"."""
-    text = text.strip()
-    if "," in text:
-        parts = text.split(",")
-    else:
-        parts = list(text)
-    try:
-        return check_preference(int(t) for t in parts)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse preference {text!r}: {exc}") from None
+    return _parse_ints(text, "preference", check_preference)
 
 
 def format_preference(p: Iterable[int]) -> str:
@@ -114,45 +116,47 @@ def _mvp(prefs, n, log=None):
     return tuple(spots[1:-1])
 
 
+def _moves(spots, car, n):
+    """Park `car` by the MVP rule at each spot p = 1..n of the padded street in turn.
+
+    Yields p with `spots` updated and undoes the move when resumed; a spot
+    whose bumped car would pass spot n is skipped.
+    """
+    for p in range(1, n + 1):
+        bumped = spots[p]
+        if bumped:
+            t = spots.index(0, p + 1)
+            if t > n:
+                continue
+            spots[t] = bumped
+        spots[p] = car
+        yield p
+        spots[p] = bumped
+        if bumped:
+            spots[t] = 0
+
+
 def _parking_functions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Lexicographically, each parking function of length n with its MVP outcome.
 
-    Depth first in one frame: car c tries spots 1..n in turn, parks by the MVP
-    rule and undoes that move before the next try, so vectors sharing a prefix
-    share its simulation and a prefix whose bumped car leaves the street is cut.
-    `_mvp`'s step is inlined: the undo needs where each bump went, and a shared
-    step function would cost the hot `_mvp` one call per car.
+    Depth first over one street: car c parks at each spot in turn by
+    `_moves`, which the forward program `subgraphs.outcome_distribution`
+    shares, so vectors sharing a prefix share its simulation and a prefix
+    whose bumped car leaves the street is cut with all its extensions.
     """
     spots = [0] * (n + 2)  # spots[0] and spots[n+1] stay empty
     prefs = [0] * n
-    moved = [0] * (n + 1)  # moved[c]: the spot car c's bump sent the bumped car to, or 0
-    car = 1
-    while car:
-        p = prefs[car - 1]
-        if p:  # undo car's move (moved[car] is 0 without a bump, and spots[0] stays 0)
-            t = moved[car]
-            spots[p], spots[t] = spots[t], 0
-        while p < n:
-            p += 1
-            bumped = spots[p]
-            t = 0
-            if bumped:
-                t = spots.index(0, p + 1)
-                if t > n:  # the bumped car left the street: cut every extension
-                    continue
-                spots[t] = bumped
-            spots[p] = car
-            moved[car] = t
-            break
-        else:  # car has tried every spot
-            prefs[car - 1] = 0
-            car -= 1
-            continue
-        prefs[car - 1] = p
-        if car == n:
+    stack = [_moves(spots, 1, n)]  # stack[c-1] moves car c
+    while stack:
+        car = len(stack)
+        for p in stack[-1]:
+            prefs[car - 1] = p
+            if car < n:
+                stack.append(_moves(spots, car + 1, n))
+                break
             yield tuple(prefs), tuple(spots[1:-1])
         else:
-            car += 1
+            stack.pop()
 
 
 def is_parking_function(p: Iterable[int]) -> bool:

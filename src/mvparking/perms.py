@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
+from .parking import _parse_ints
+
 __all__ = [
     "bipart",
     "check_permutation",
@@ -42,12 +44,7 @@ def check_permutation(w: Iterable[int]) -> tuple[int, ...]:
 
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse "3412" (digit string, n <= 9) or "10,3,1,..." (comma-separated)."""
-    text = text.strip()
-    parts = text.split(",") if "," in text else list(text)
-    try:
-        return check_permutation(int(t) for t in parts)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse permutation {text!r}: {exc}") from None
+    return _parse_ints(text, "permutation", check_permutation)
 
 
 def format_permutation(w: Iterable[int]) -> str:
@@ -60,14 +57,8 @@ def format_permutation(w: Iterable[int]) -> str:
 
 def inversions(pi: Iterable[int]) -> frozenset[tuple[int, int]]:
     """All pairs (j, i) with j < i and pi_j > pi_i."""
-    word = check_permutation(pi)
-    n = len(word)
-    return frozenset(
-        (j, i)
-        for j in range(1, n + 1)
-        for i in range(j + 1, n + 1)
-        if word[j - 1] > word[i - 1]
-    )
+    linv = left_inversion_lists(check_permutation(pi))
+    return frozenset((j, i) for i, sources in enumerate(linv) for j in sources)
 
 
 def left_inversions(pi: Iterable[int], i: int) -> frozenset[int]:
@@ -75,7 +66,7 @@ def left_inversions(pi: Iterable[int], i: int) -> frozenset[int]:
     word = check_permutation(pi)
     if type(i) is not int or not 1 <= i <= len(word):
         raise IndexError(f"position must be an int in [1, {len(word)}], got {i!r}")
-    return frozenset(j for j in range(1, i) if word[j - 1] > word[i - 1])
+    return frozenset(left_inversion_lists(word)[i])
 
 
 def left_inversion_lists(pi: tuple[int, ...]) -> list[list[int]]:

@@ -90,8 +90,9 @@ def check_config(c: Iterable[int]) -> tuple[int, ...]:
 
 def parse_config(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of non-negative integers."""
+    text = text.strip()
     try:
-        return check_config(int(t) for t in text.strip().split(","))
+        return check_config(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse configuration {text!r}: {exc}") from None
 

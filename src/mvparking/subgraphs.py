@@ -20,7 +20,8 @@ over occupied runs, since un-parking a car changes only the run it is in,
 and keys its memo by each run's rank pattern, so the structured families
 repeat few of them: dec(30) counts from 236 patterns.
 `outcome_distribution` counts every fibre of S_n in one forward pass from
-the empty street, and `fibre_brute` walks every parking function forward.
+the empty street, and `fibre_brute` walks every parking function forward;
+both park each car by `parking._moves`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .parking import _mvp, _park, _parking_functions, check_preference
+from .parking import _moves, _mvp, _park, _parking_functions, check_preference
 from .perms import check_permutation, left_inversion_lists
 
 __all__ = [
@@ -328,9 +329,10 @@ def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
     A forward dynamic program from the empty street.  Level c maps each
     occupancy reachable after cars 1..c have parked (padded bytes,
     spot -> car, 0 for empty) to the number of preference prefixes reaching
-    it.  Car c tries every spot; a car b it bumps moves to the first free
-    spot to the right, and the branch dies when there is none.  Only two
-    levels are alive; the old one is consumed as the new one grows.
+    it.  Car c parks at every spot in turn by `parking._moves`, which the
+    walk `_parking_functions` shares, and a branch whose bumped car leaves
+    the street dies.  Only two levels are alive; the old one is consumed as
+    the new one grows.
 
     The last level holds the full occupancies, one per permutation, each
     with its fibre size; the sizes sum to (n+1)^(n-1).  It shares no code
@@ -342,27 +344,17 @@ def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
         raise ValueError(f"n must be a positive int, got {n!r}")
     if n > DISTRIBUTION_CAP:
         raise SizeCapExceeded(f"n={n} above outcome distribution cap {DISTRIBUTION_CAP}")
-    level = {bytes(n + 1): 1}
+    level = {bytes(n + 2): 1}
     for car in range(1, n + 1):
         nxt: dict[bytes, int] = {}
         while level:
             state, ways = level.popitem()
             spots = bytearray(state)
-            for p in range(1, n + 1):
-                bumped = spots[p]
-                if bumped:
-                    t = spots.find(0, p + 1)
-                    if t < 0:
-                        continue
-                    spots[t] = bumped
-                spots[p] = car
+            for _ in _moves(spots, car, n):
                 key = bytes(spots)
                 nxt[key] = nxt.get(key, 0) + ways
-                spots[p] = bumped
-                if bumped:
-                    spots[t] = 0
         level = nxt
-    return {tuple(state[1:]): ways for state, ways in level.items()}
+    return {tuple(state[1:-1]): ways for state, ways in level.items()}
 
 
 def p2_free_count(pi: Iterable[int]) -> int:

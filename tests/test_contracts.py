@@ -12,8 +12,8 @@ import pytest
 import mvparking
 from mvparking import motzkin, parking, perms, sandpile, subgraphs, verify
 from mvparking.motzkin import decreasing_fibre, decreasing_representative, is_motzkin_pf
-from mvparking.parking import NotAParkingFunction, displacement_mvp
-from mvparking.perms import dec, inversion_graph_acyclic
+from mvparking.parking import NotAParkingFunction, displacement_mvp, parse_preference
+from mvparking.perms import dec, inversion_graph_acyclic, parse_permutation
 from mvparking.sandpile import (
     NotMinimalRecurrent,
     NotRecurrent,
@@ -25,6 +25,7 @@ from mvparking.sandpile import (
     minrec_classical_trace,
     minrec_trace,
     mvp_outcome_via_sandpile,
+    parse_config,
 )
 from mvparking.subgraphs import (
     NotASubgraph,
@@ -323,3 +324,33 @@ def test_bad_inputs_that_are_answers_not_errors():
     assert minrec_classical((2, 1, 1)) == (2, 1, 0)
     assert [motzkin.motzkin_numbers(upto) for upto in range(3)] == [[1], [1, 1], [1, 1, 2]]
     assert motzkin.is_noncrossing_matching([(1, 5)], 3) is False
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_preference, "3,0,1", "cannot parse preference '3,0,1': preference entry 0 outside [1, 3]"),
+    (parse_preference, "", "cannot parse preference '': preference vector must be non-empty"),
+    (parse_preference, "3a1", "cannot parse preference '3a1': invalid literal for int() with base 10: 'a'"),
+    (parse_preference, " 3,0,1 ", "cannot parse preference '3,0,1': preference entry 0 outside [1, 3]"),
+    (parse_permutation, "3411",
+     "cannot parse permutation '3411': (3, 4, 1, 1) is not a rearrangement of 1..4"),
+    (parse_permutation, "", "cannot parse permutation '': permutation must be non-empty"),
+    (parse_permutation, "3a1", "cannot parse permutation '3a1': invalid literal for int() with base 10: 'a'"),
+    (parse_permutation, " 3411 ",
+     "cannot parse permutation '3411': (3, 4, 1, 1) is not a rearrangement of 1..4"),
+    (parse_permutation, "10", "cannot parse permutation '10': (1, 0) is not a rearrangement of 1..2"),
+    (parse_config, "1,-2", "cannot parse configuration '1,-2': grain count -2 is not a non-negative integer"),
+    (parse_config, "", "cannot parse configuration '': invalid literal for int() with base 10: ''"),
+    (parse_config, "1,x", "cannot parse configuration '1,x': invalid literal for int() with base 10: 'x'"),
+    (parse_config, " 1,-2 ",
+     "cannot parse configuration '1,-2': grain count -2 is not a non-negative integer"),
+])
+def test_parsers_quote_the_stripped_text_and_the_reason(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_a_configuration_is_not_split_into_digits():
+    """A grain count can exceed 9, so only a permutation or preference reads "12" as digits."""
+    assert parse_config("12") == (12,)
+    assert parse_permutation("12") == (1, 2) and parse_preference("12") == (1, 2)

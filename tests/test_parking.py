@@ -159,3 +159,34 @@ def test_parking_function_walk_counts_and_strictly_increases():
         prefs = [p for p, _word in parking._parking_functions(n)]
         assert len(prefs) == (n + 1) ** (n - 1), n
         assert all(a < b for a, b in zip(prefs, prefs[1:])), n
+
+
+def test_moves_restores_the_street_and_skips_only_exits(monkeypatch):
+    """On every street the walk reaches, as a list or as the forward program's
+    bytearray: the spots yielded ascend, are those whose bumped car finds a free
+    spot by spot n, each leaves the MVP move in place, and exhausting the
+    generator leaves the street as it was found."""
+    for n in range(1, 6):
+        reached = []
+
+        def spy(spots, car, n, _moves=parking._moves):
+            reached.append((list(spots), car))
+            return _moves(spots, car, n)
+
+        monkeypatch.setattr(parking, "_moves", spy)
+        assert sum(1 for _ in parking._parking_functions(n)) == (n + 1) ** (n - 1)
+        monkeypatch.undo()
+        assert {car for _street, car in reached} == set(range(1, n + 1))
+        for street, car in reached:
+            parks = [p for p in range(1, n + 1) if not street[p] or 0 in street[p + 1:n + 1]]
+            for spots in (list(street), bytearray(street)):
+                yielded = []
+                for p in parking._moves(spots, car, n):
+                    yielded.append(p)
+                    moved = list(street)
+                    moved[p] = car
+                    if street[p]:
+                        moved[moved.index(0, p + 1)] = street[p]
+                    assert list(spots) == moved, (street, car, p)
+                assert yielded == parks, (street, car)
+                assert list(spots) == street, (street, car)

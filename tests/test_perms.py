@@ -46,6 +46,16 @@ def test_left_inversions_partition_inversions(word):
     assert total == len(inversions(word))
 
 
+def test_inversions_match_the_pair_definition():
+    """Both read one left-inversion scan, so check each against the pairs themselves."""
+    for n in range(1, 7):
+        for word in permutations(range(1, n + 1)):
+            pairs = {(j, i) for i in range(1, n + 1) for j in range(1, i) if word[j - 1] > word[i - 1]}
+            assert inversions(word) == pairs, word
+            for i in range(1, n + 1):
+                assert left_inversions(word, i) == {j for j, k in pairs if k == i}, (word, i)
+
+
 def test_contains_pattern():
     host = (5, 6, 1, 2, 4, 3)
     assert contains_pattern(host, (3, 2, 1))
