@@ -69,10 +69,13 @@ class NotANonCrossingMatching(ValueError):
     """The arc set has a shared endpoint or a crossing pair."""
 
 
+_STEPS = frozenset("UHD")
+
+
 def check_path(path: str) -> str:
     """Validate the step alphabet (U/H/D only); returns the path."""
-    if not frozenset("UHD").issuperset(path):
-        raise ValueError(f"steps {sorted(set(path) - set('UHD'))} not in alphabet U/H/D")
+    if not _STEPS.issuperset(path):
+        raise ValueError(f"steps {sorted(set(path) - _STEPS)} not in alphabet U/H/D")
     return path
 
 
@@ -90,7 +93,8 @@ def _spot_counts(prefs) -> list[int]:
 
 
 def _popularity_path(prefs) -> str:
-    return "".join(["U" if k >= 2 else "H" if k else "D" for k in _spot_counts(prefs)[1:]])
+    step = "DH" + "U" * len(prefs)  # step[k]: the step of a spot that k cars prefer
+    return "".join(map(step.__getitem__, _spot_counts(prefs)[1:]))
 
 
 def is_motzkin_path(path: str) -> bool:

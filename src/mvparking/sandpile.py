@@ -114,7 +114,14 @@ def topple(c: Iterable[int], i: int) -> tuple[int, ...]:
         raise IndexError(f"vertex must be an int in [1, {n}], got {i!r}")
     if cfg[i - 1] < n:
         raise VertexStable(f"vertex {i} holds {cfg[i - 1]} < {n} grains")
-    return tuple(x - n if u == i else x + 1 for u, x in enumerate(cfg, start=1))
+    return _topple(cfg, i)
+
+
+def _topple(cfg, i) -> tuple[int, ...]:
+    """`topple` on a checked configuration and a vertex i it may topple."""
+    out = [x + 1 for x in cfg]
+    out[i - 1] -= len(cfg) + 1
+    return tuple(out)
 
 
 def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -158,11 +165,12 @@ def stabilise(c: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(x + base for x in cfg), tuple(seq)
 
 
-def _is_recurrent(cfg) -> bool:
+def _check_stable(cfg) -> int:
+    """n for a stable checked configuration; raises NotStable otherwise."""
     n = len(cfg)
     if max(cfg) >= n:
         raise NotStable(f"{cfg} is not stable")
-    return all(map(ge, sorted(cfg), range(n)))
+    return n
 
 
 def is_recurrent(c: Iterable[int]) -> bool:
@@ -174,7 +182,8 @@ def is_recurrent(c: Iterable[int]) -> bool:
     largest-first succeeds iff the k-th largest count (0-based) has
     c + 1 + k >= n for every k, that is iff the j-th smallest is >= j.
     """
-    return _is_recurrent(check_config(c))
+    cfg = check_config(c)
+    return all(map(ge, sorted(cfg), range(_check_stable(cfg))))
 
 
 def is_min_recurrent(c: Iterable[int]) -> bool:
@@ -202,9 +211,7 @@ def canonical_toppling(c: Iterable[int]) -> tuple[int, ...]:
 def config_to_preference(c: Iterable[int]) -> tuple[int, ...]:
     """Componentwise complement n - c of a stable configuration."""
     cfg = check_config(c)
-    n = len(cfg)
-    if not all(x < n for x in cfg):
-        raise NotStable(f"{cfg} is not stable")
+    n = _check_stable(cfg)
     return tuple(n - x for x in cfg)
 
 
@@ -217,22 +224,23 @@ def preference_to_config(p: Iterable[int]) -> tuple[int, ...]:
 
 def _minrec(cfg, classical, steps=None) -> tuple[int, ...]:
     """Shared pass behind minrec and its classical variant, on a checked
-    configuration; raises NotRecurrent first if it is not recurrent.
+    configuration; raises NotStable, then NotRecurrent, if it is neither.
 
     Left to right, `where[v]` is the index holding value v so far, 0 if
     none, and the values held stay distinct.  When index j repeats a value,
     one of the pair drops to the largest smaller value not held among
     indices 1..j: the earlier index for the MVP variant, j itself for the
     classical one.  With value v as spot n - v, that is the MVP (classical)
-    rule on the complement n - c, a parking function since c is recurrent,
-    so no car drives past spot n: no value drops below 0, where `where[-1]`
-    would wrap silently.  Each decrement is appended to `steps` as a
-    MinrecStep when a list is passed; the untraced calls build no log.
+    rule on the complement n - c, and a stable c is recurrent exactly when
+    that complement parks, that is when no car drives past spot n.  So the
+    pass decides recurrence itself: c is not recurrent exactly when some
+    drop finds no free value down to 0.  `where[n]`, never held, is
+    `where[-1]`, so the search stops there at -1.  Each decrement is
+    appended to `steps` as a MinrecStep when a list is passed; the
+    untraced calls build no log.
     """
-    if not _is_recurrent(cfg):
-        raise NotRecurrent(f"{cfg} is not recurrent")
     values = list(cfg)
-    where = [0] * len(values)  # recurrent, so stable: every value is below n
+    where = [0] * (_check_stable(cfg) + 1)
     for j, v in enumerate(values, start=1):
         if not where[v]:
             where[v] = j
@@ -241,6 +249,8 @@ def _minrec(cfg, classical, steps=None) -> tuple[int, ...]:
         after = v - 1
         while where[after]:
             after -= 1
+        if after < 0:
+            raise NotRecurrent(f"{cfg} is not recurrent")
         values[t - 1] = after
         where[after] = t
         if steps is not None:

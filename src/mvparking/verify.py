@@ -2,10 +2,12 @@
 
 Each suite generates a family of inputs (all permutations, all parking functions,
 all subgraphs, ...) up to a size cap and checks each case as it is generated against
-an independent route, taking any fibre size it compares with from `fibre_size`.  It
-returns the cases checked with what was checked, or raises `_Counterexample` at the
-first failing case; `run_suite` turns either into a `SuiteResult`.  `SUITES`
-declares each suite's cap (`n` or `m`), its default and the CLI's guard.
+an independent route, taking any fibre size it compares with from `fibre_size`; thm-2.8
+takes its sizes from `fibre_size`'s run counter, one shared across each S_n, whose
+sub-runs recur raw.  It returns the cases checked with what was checked, or raises
+`_Counterexample` at the first failing case; `run_suite` turns either into a
+`SuiteResult`.  `SUITES` declares each suite's cap (`n` or `m`), its default and the
+CLI's guard.
 
 A suite builds its own cases, so it calls the private kernels behind the
 public functions on them and does not validate them again: a public
@@ -44,7 +46,7 @@ from .perms import (
     inversions,
     split_left,
 )
-from .sandpile import _canonical_toppling, _minrec, stabilise, topple
+from .sandpile import _canonical_toppling, _minrec, _topple, stabilise
 from .subgraphs import (
     DISTRIBUTION_CAP,
     SizeCapExceeded,
@@ -52,6 +54,8 @@ from .subgraphs import (
     _induced_pf,
     _is_hs,
     _is_p2_free,
+    _run_counter,
+    _unpark,
     count_one_subgraphs,
     enumerate_one_subgraphs,
     fibre_size,
@@ -60,7 +64,6 @@ from .subgraphs import (
     hs_count,
     outcome_distribution,
     p2_free_count,
-    valid_subgraphs,
 )
 
 __all__ = ["SuiteResult", "SUITES", "SUITE_NAMES", "check_caps", "run_suite", "run_suites"]
@@ -111,11 +114,12 @@ def _suite_thm_2_5(n_cap: int, seed: int) -> tuple[int, str]:
 def _suite_thm_2_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
     for n in range(1, n_cap + 1):
+        count = _run_counter(by_pattern=False)  # sub-runs of S_n recur raw
         for word in permutations(range(1, n + 1)):
             checked += 1
             by_pattern = inversion_graph_acyclic(word)
             by_search = edges_acyclic(inversions(word), n)
-            all_valid = fibre_size(word) == count_one_subgraphs(word)
+            all_valid = count(word) == count_one_subgraphs(word)
             if not (by_pattern == by_search == all_valid):
                 raise _Counterexample(
                     checked, "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
@@ -142,7 +146,7 @@ def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
     checked = 0
     for n in range(1, n_cap + 1):
         for word in permutations(range(1, n + 1)):
-            valid = set(valid_subgraphs(word))
+            valid = {_induced_arcs(p, word) for p in _unpark(word)}
             for sub in enumerate_one_subgraphs(word):
                 checked += 1
                 if premise_holds(sub, valid) and not conclusion_holds(sub, valid):
@@ -227,7 +231,7 @@ def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
     for n in range(1, n_cap + 1):
         for p, word in _parking_functions(n):
             checked += 1
-            cfg = tuple(n - x for x in p)
+            cfg = tuple(map(n.__sub__, p))
             if _canonical_toppling(_minrec(cfg, classical=False)) != word:
                 raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
                                       f"p={format_preference(p)}")
@@ -309,10 +313,10 @@ def _suite_abelian(n_cap: int, seed: int) -> tuple[int, str]:
             for _trial in range(3):
                 cfg = start
                 while True:
-                    unstable = [v for v in range(1, n + 1) if cfg[v - 1] >= n]
+                    unstable = [v for v, x in enumerate(cfg, start=1) if x >= n]
                     if not unstable:
                         break
-                    cfg = topple(cfg, rng.choice(unstable))
+                    cfg = _topple(cfg, rng.choice(unstable))
                 checked += 1
                 if cfg != reference:
                     raise _Counterexample(checked, "stabilisation is order-independent",

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mvparking import parking
+from mvparking import cli, parking
 from mvparking.parking import NotAParkingFunction, is_parking_function, outcome_classical, outcome_mvp
 from mvparking.sandpile import (
     NotMinimalRecurrent,
@@ -26,6 +27,7 @@ from mvparking.sandpile import (
     mvp_outcome_via_sandpile,
     parse_config,
     preference_to_config,
+    _topple,
     stabilise,
     topple,
 )
@@ -270,6 +272,62 @@ def test_sandpile_route_decides_parking_by_recurrence_alone(monkeypatch):
     with pytest.raises(NotAParkingFunction, match=r"^\(3, 3, 3\) is not a parking function$"):
         mvp_outcome_via_sandpile((3, 3, 3))
     assert not calls
+
+
+def test_minrec_decides_recurrence_as_the_oracles_do_exhaustive():
+    """The elimination pass raises NotRecurrent exactly where the sorted burning
+    criterion and the exhaustive burning-order search call a stable configuration
+    non-recurrent, and the sandpile route refuses exactly their complements."""
+    for n in range(1, 6):
+        for c in product(range(n), repeat=n):
+            recurrent = is_recurrent(c)
+            assert recurrent == burning_order_exists(c), c
+            p = tuple(n - x for x in c)
+            for reduce in (minrec, minrec_classical, minrec_trace, minrec_classical_trace):
+                if recurrent:
+                    reduce(c)
+                else:
+                    with pytest.raises(NotRecurrent, match=rf"^{re.escape(str(c))} is not recurrent$"):
+                        reduce(c)
+            if recurrent:
+                assert mvp_outcome_via_sandpile(p) == outcome_mvp(p).outcome
+            else:
+                with pytest.raises(NotAParkingFunction,
+                                   match=rf"^{re.escape(str(p))} is not a parking function$"):
+                    mvp_outcome_via_sandpile(p)
+
+
+def test_minrec_refuses_an_unstable_configuration_before_recurrence(capsys):
+    for c in ((5, 0, 0), (0, 0, 3), (2, 2), (0, 0, 0, 9)):  # (0, 0, 3) is neither stable nor recurrent
+        for reduce in (minrec, minrec_classical, minrec_trace, minrec_classical_trace):
+            with pytest.raises(NotStable, match=rf"^{re.escape(str(c))} is not stable$"):
+                reduce(c)
+    assert cli.main(["sandpile", "minrec", "-c", "0,0"]) == 2
+    assert capsys.readouterr().err == "error: (0, 0) is not recurrent\n"
+    assert cli.main(["sandpile", "minrec", "-c", "5,0,0"]) == 2
+    assert capsys.readouterr().err == "error: (5, 0, 0) is not stable\n"
+
+
+def test_topple_checks_then_runs_the_kernel():
+    for bad in (True, 0, 4, -1, 1.0):
+        with pytest.raises(IndexError, match=r"^vertex must be an int in \[1, 3\], got "):
+            topple((3, 0, 0), bad)
+    with pytest.raises(VertexStable, match=r"^vertex 2 holds 0 < 3 grains$"):
+        topple((3, 0, 0), 2)
+    for bad in ((), (3, -1, 0), (3, True, 0), (3.0, 0, 0)):
+        with pytest.raises(ValueError):
+            topple(bad, 1)
+    assert topple([3, 0, 0], 1) == (0, 1, 1)  # any iterable
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        cfg = tuple(rng.randint(0, 3 * n) for _ in range(n))
+        for v in range(1, n + 1):
+            if cfg[v - 1] >= n:
+                assert topple(cfg, v) == _topple(cfg, v)
+            else:
+                with pytest.raises(VertexStable):
+                    topple(cfg, v)
 
 
 def test_abelian_property_randomised():

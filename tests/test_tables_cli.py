@@ -830,10 +830,10 @@ SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, 
      "pi=1 has colliding images"),
     ("thm-2.8", {"n": 1}, "edges_acyclic", lambda edges, n: False, 1,
      "pi=1: patterns=True search=False all_valid=True"),
-    ("thm-2.8", {"n": 1}, "fibre_size", lambda word: 0, 1,
+    ("thm-2.8", {"n": 1}, "_run_counter", lambda **_: lambda word: 0, 1,
      "pi=1: patterns=True search=True all_valid=False"),
     ("prop-2.10", {"n": 1}, "_is_p2_free", lambda pairs: False, 1, "pi=1 S={}"),
-    ("prop-2.11", {"n": 1}, "valid_subgraphs", lambda word: [], 1, "pi=1 S={}"),
+    ("prop-2.11", {"n": 1}, "_unpark", lambda word: [], 1, "pi=1 S={}"),
     ("thm-3.2", {"n": 1}, "is_motzkin_path", lambda path: False, 1, "p=1 path=H"),
     ("thm-3.2", {"n": 1}, "_parking_functions", lambda n: iter(()), 1, "p=1 path=H"),
     ("thm-3.8", {"n": 1}, "motzkin_numbers", lambda upto: [0] * (upto + 1), 1,
@@ -867,11 +867,11 @@ def test_each_verify_suite_reports_an_injected_fault(monkeypatch, suite, caps, n
 
 
 def test_matching_and_acyclicity_suites_never_list_a_fibre(monkeypatch):
-    """thm-3.8, thm-6.3 and thm-2.8 take every fibre size from `fibre_size`
-    and check each case as it streams, holding no listed family."""
+    """thm-3.8, thm-6.3 and thm-2.8 take every fibre size from `fibre_size` or
+    its run counter and check each case as it streams, holding no listed family."""
     def refuse(*args):
         raise AssertionError("listed a fibre")
-    monkeypatch.setattr(verify, "valid_subgraphs", refuse)
+    monkeypatch.setattr(verify, "_unpark", refuse)
     monkeypatch.setattr(verify, "fibre_via_subgraphs", refuse)
     for name in ("thm-3.8", "thm-6.3", "thm-2.8"):
         assert verify.run_suite(name).passed, name
