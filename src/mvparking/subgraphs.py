@@ -11,7 +11,8 @@ ones whose induced preference parks back to pi.
 Two cheap structural filters bracket validity: a valid subgraph can contain
 no directed two-arc path i -> j -> k (P2-free, necessary), and any subgraph
 whose arcs are pairwise horizontally disjoint, endpoints included, is valid
-(HS, sufficient).  Dynamic programs over the vertices count both families.
+(HS, sufficient).  Dynamic programs over the vertices count both families,
+the P2-free one by gaps between later values.
 
 Three independent programs list and count fibres.  `fibre_via_subgraphs`
 un-parks the cars n..1 backward from pi, so it only meets occupancies that
@@ -360,25 +361,28 @@ def outcome_distribution(n: int) -> dict[tuple[int, ...], int]:
 def p2_free_count(pi: Iterable[int]) -> int:
     """Number of P2-free 1-subgraphs, by a dynamic program over the vertices.
 
-    Left to right, each state is the bitmask of earlier vertices that are no
-    arc's target, with the number of ways to reach it.  Vertex i either
-    joins the mask, or becomes the target of one of the free sources in
-    linv[i] and, being a target, can never be a source.  No two states merge,
-    so a level holds at most 2^(i-1) of them, as many as on dec(n).
+    Free earlier vertices (no arc's target) in one gap between the values
+    still to come are sources for the same later vertices, so left to right
+    a state counts the free vertices per gap, lowest first; the lowest lies
+    below every later value and stays 0.  Vertex i of value v targets a free
+    vertex above v or joins the gap merging the two beside v.  On dec(n) a
+    level holds at most n states.
     """
-    return _p2_free_count(left_inversion_lists(check_permutation(pi)))
+    return _p2_free_count(check_permutation(pi))
 
 
-def _p2_free_count(linv) -> int:
-    level = {0: 1}
-    for i in range(1, len(linv)):
-        sources = sum(1 << j for j in linv[i])
-        nxt: dict[int, int] = {}
-        for mask, ways in level.items():
-            nxt[mask | 1 << i] = ways
-            free = (mask & sources).bit_count()
-            if free:
-                nxt[mask] = ways * free
+def _p2_free_count(word) -> int:
+    level = {(0,) * (len(word) + 1): 1}
+    for i, v in enumerate(word):
+        s = sum(w < v for w in word[i + 1:])
+        nxt: dict = {}
+        for gaps, ways in level.items():
+            head, merged, rest = gaps[:s], gaps[s] + gaps[s + 1], gaps[s + 2:]
+            key = (*head, merged + 1 if s else 0, *rest)
+            nxt[key] = nxt.get(key, 0) + ways
+            if free := sum(gaps[s + 1:]):
+                key = (*head, merged if s else 0, *rest)
+                nxt[key] = nxt.get(key, 0) + ways * free
         level = nxt
     return sum(level.values())
 
@@ -412,14 +416,18 @@ def bounds(pi: Iterable[int]) -> FibreBounds:
     """The sandwich single_arc <= HS <= fibre <= P2-free <= product for pi.
 
     Every term is counted without walking subgraphs: the P2-free and HS
-    dynamic programs, `fibre_size`, and closed forms.
+    dynamic programs, `fibre_size`, and closed forms.  Refuses n above
+    `FIBRE_CAP` first.
     """
-    word = check_permutation(pi)
+    return _bounds(_capped(check_permutation(pi)), _run_counter())
+
+
+def _bounds(word, count) -> FibreBounds:
     linv = left_inversion_lists(word)
     return FibreBounds(
         product_upper=prod(1 + len(s) for s in linv[1:]),
-        p2free_count=_p2_free_count(linv),
-        fibre_size=_run_counter()(_capped(word)),
+        p2free_count=_p2_free_count(word),
+        fibre_size=count(word),
         hs_count=_hs_count(linv),
         single_arc_lower=1 + sum(map(len, linv)),
     )

@@ -2,9 +2,9 @@
 
 Every cell is an exact count from one engine, `fibre_size`'s recursion over
 the occupied runs met un-parking the cars, or from the P2-free and HS
-dynamic programs.  The bipartite and dec-vs-split tables each pass every
-cell through one run counter keyed by rank pattern, so a column reuses the
-sub-runs its cells share: dec-vs-split to n = 100 keeps about 5,000 memo
+dynamic programs.  The bounds, bipartite and dec-vs-split tables each pass
+every cell through one run counter keyed by rank pattern, so a column reuses
+the sub-runs its cells share: dec-vs-split to n = 100 keeps about 5,000 memo
 entries.  A conjecture row counts all of S_n through one counter keyed by
 the raw runs instead: its permutations meet the same raw sub-runs again and
 again, so ranking each one before the lookup costs more than the hits it
@@ -25,7 +25,7 @@ from math import comb
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
-from .subgraphs import FIBRE_CAP, SizeCapExceeded, _run_counter, bounds
+from .subgraphs import FIBRE_CAP, SizeCapExceeded, _bounds, _run_counter
 
 __all__ = [
     "CONJECTURE_CAP",
@@ -47,16 +47,13 @@ Cell = int | str
 # a 2-vCPU VM (n <= 9: 1.8-2.4 s at 30 MiB), and n = 11 would need roughly ten times both.
 CONJECTURE_CAP = 10
 # Per table `<name>_table`: (the sizes its builder reads, in order, the least size that gives
-# cells, the default and largest size the CLI runs without --force, and the cap, --force or
-# not, on the cars of the largest cell: the sum of the sizes).  As for the verify suites, a guard
-# is the largest size measured to run in at most about 1.5 minutes in one fresh process on a
-# 2-vCPU VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.  bipartite
-# 80x80 takes 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); dec-vs-split reaches FIBRE_CAP,
-# n = 255, in 20-32 s at 24 MiB.  bounds keeps its guard of 13, so its default output stays put,
-# but is capped by memory: its P2-free program roughly doubles its peak with each n, and a fresh
-# process peaked at 198 MiB for n = 21, 322 MiB for n = 22, 593 MiB for n = 23 (6 s) and
-# 1140 MiB for n = 24, so 23 is the largest n under 1 GiB.
-TABLES = {"bounds": (("n",), 1, 13, 23), "bipartite": (("m", "n"), 1, 80, FIBRE_CAP),
+# cells, the default and largest size the CLI runs without --force, and the cap, --force or not,
+# on the cars of the largest cell: the sum of the sizes).  As for the verify suites, a guard is
+# the largest size measured to run in at most about 1.5 minutes in one fresh process on a 2-vCPU
+# VM, in under 1 GiB; the VM ran at two speeds, so each time is a range.  bipartite 80x80 takes
+# 58-83 s at 48 MiB (85x85: 77-105 s at 60 MiB); bounds and dec-vs-split reach FIBRE_CAP,
+# n = 255, in 19-24 s at 21 MiB and in 20-32 s at 24 MiB.
+TABLES = {"bounds": (("n",), 1, FIBRE_CAP, FIBRE_CAP), "bipartite": (("m", "n"), 1, 80, FIBRE_CAP),
           "dec-vs-split": (("n",), 3, FIBRE_CAP, FIBRE_CAP),
           "conjecture": (("n",), 3, 8, CONJECTURE_CAP)}
 
@@ -116,10 +113,10 @@ def _bounds_failures(rows: list[list[Cell]]) -> list[str]:
 def bounds_table(max_n: int) -> ReportTable:
     """Subgraph/P2-free/valid/HS counts for the decreasing permutation."""
     _check_sizes("bounds", max_n)
+    count = _run_counter()
     return _report(
         "bounds", ["n", "subgraphs", "p2free", "valid", "hs"],
-        ([n, (b := bounds(dec(n))).product_upper, b.p2free_count, b.fibre_size, b.hs_count]
-         for n in range(1, max_n + 1)),
+        ([n, *_bounds(dec(n), count)[:4]] for n in range(1, max_n + 1)),
         _bounds_failures, max_n=max_n)
 
 

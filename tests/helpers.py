@@ -155,6 +155,28 @@ def spot_order_walk(word) -> tuple[list, set, int, int]:
     return sorted(fibre), valid, counts[0], counts[1]
 
 
+def p2_free_count_by_masks(word) -> int:
+    """Number of P2-free 1-subgraphs of `word`, by a dynamic program over the
+    vertices whose state is the bitmask of earlier vertices that are no arc's
+    target.
+
+    The mask oracle for the gap-class program: vertex i either joins the mask,
+    or becomes the target of one of the free earlier vertices j with
+    word[j-1] > word[i-1] and, being a target, can never be a source.  No two
+    states merge, so a level holds up to 2^(i-1) of them, as many as on dec(n).
+    """
+    level = {0: 1}
+    for i in range(1, len(word) + 1):
+        sources = sum(1 << j for j in range(1, i) if word[j - 1] > word[i - 1])
+        nxt: dict[int, int] = {}
+        for mask, ways in level.items():
+            nxt[mask | 1 << i] = ways
+            if free := (mask & sources).bit_count():
+                nxt[mask] = ways * free
+        level = nxt
+    return sum(level.values())
+
+
 def stabilise_one_at_a_time(c) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(stable configuration, witness) on K_n by toppling the lowest-indexed
     unstable vertex once, then rescanning from vertex 1."""

@@ -35,7 +35,8 @@ from mvparking.subgraphs import (
     valid_subgraphs,
 )
 
-from helpers import all_preferences, induced_pf, mvp_outcome, spot_order_walk
+from helpers import (all_preferences, induced_pf, mvp_outcome, p2_free_count_by_masks,
+                     spot_order_walk)
 
 
 def test_enumeration_counts():
@@ -355,11 +356,30 @@ def test_fibre_matches_bucketed_brute_exhaustive():
 def test_dec_counts_match_bell_and_powers_of_two():
     from helpers import bell_numbers
 
-    bells = bell_numbers(20)
-    for n in [*range(1, 10), 20]:
+    bells = bell_numbers(100)
+    for n in range(1, 101):
         assert p2_free_count(dec(n)) == bells[n]
         assert hs_count(dec(n)) == 2 ** (n - 1)
     assert bells[20] == 51_724_158_235_372
+
+
+def test_gap_class_count_equals_the_mask_oracle_on_every_permutation_up_to_8():
+    for n in range(1, 9):
+        for word in permutations(range(1, n + 1)):
+            assert p2_free_count(word) == p2_free_count_by_masks(word), word
+
+
+@settings(deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_gap_class_count_equals_the_mask_oracle_on_random_permutations(word):
+    assert p2_free_count(word) == p2_free_count_by_masks(word)
+
+
+def test_bounds_refuses_n_above_the_cap_before_counting(monkeypatch):
+    monkeypatch.setattr(subgraphs, "_p2_free_count",
+                        lambda word: pytest.fail(f"P2-free subgraphs counted for n={len(word)}"))
+    with pytest.raises(SizeCapExceeded, match="n=256 above fibre cap FIBRE_CAP=255"):
+        bounds(dec(256))
 
 
 def test_displacement_equals_arc_length_spot():

@@ -369,8 +369,8 @@ def test_cli_table_csv_golden(capsys):
 
 
 def test_cli_table_guards(capsys):
-    code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "14")
-    assert code == 2 and "guard" in err
+    code, _, err = run_cli(capsys, "table", "bounds", "--max-n", "256")
+    assert code == 2 and err == "error: n=256 above guard 255 for bounds (use --force)\n"
     args = cli.build_parser().parse_args(["table", "dec-vs-split"])
     assert args.max_n == subgraphs.FIBRE_CAP  # a table's default size is its guard
     code, out, err = run_cli(capsys, "table", "dec-vs-split", "--max-n", "13", "--format", "csv")
@@ -396,11 +396,11 @@ def test_cli_table_refuses_a_cell_above_the_fibre_cap_before_the_first(capsys, m
 
 
 def test_cli_table_force_overrides_guard(capsys):
-    code, out, err = run_cli(capsys, "table", "bounds", "--max-n", "14",
+    code, out, err = run_cli(capsys, "table", "bipartite", "--max-m", "81", "--max-n", "1",
                              "--force", "--format", "csv")
     assert code == 0 and not err
     _, rows = tables.parse_csv(out)
-    assert rows[-1] == [14, 87178291200, 190899322, 113634, 8192]
+    assert rows == [[1, *range(2, 83)]]  # thm-2.8: bipart(m, 1) avoids 321 and 3412
 
 
 def test_cli_conjecture_above_its_cap_exits_2_at_once(capsys, monkeypatch):
@@ -418,9 +418,7 @@ BAD_TABLE_SIZES = [  # (table, the builder's sizes, the refusal, its message)
     ("bounds", (4.0,), ValueError, "bounds table needs an int n >= 1, got 4.0"),
     ("bounds", (0,), ValueError, "bounds table needs an int n >= 1, got 0"),
     ("bounds", (256,), subgraphs.SizeCapExceeded,
-     "bounds table's largest cell has 256 cars, above cap 23"),
-    ("bounds", (24,), subgraphs.SizeCapExceeded,
-     "bounds table's largest cell has 24 cars, above cap 23"),
+     "bounds table's largest cell has 256 cars, above cap 255"),
     ("bipartite", (True, 2), ValueError, "bipartite table needs an int m >= 1, got True"),
     ("bipartite", (2, 4.0), ValueError, "bipartite table needs an int n >= 1, got 4.0"),
     ("bipartite", (0, 3), ValueError, "bipartite table needs an int m >= 1, got 0"),
@@ -444,7 +442,7 @@ BAD_TABLE_SIZES = [  # (table, the builder's sizes, the refusal, its message)
 def test_every_table_refuses_bad_sizes_before_any_cell(capsys, monkeypatch, which, sizes, exc,
                                                        message):
     """As a library call, and through the CLI with --force, so past every guard."""
-    for worker in ("_report", "bounds", "_run_counter", "_conjecture_row", "motzkin_numbers"):
+    for worker in ("_report", "_bounds", "_run_counter", "_conjecture_row", "motzkin_numbers"):
         monkeypatch.setattr(tables, worker, lambda *_a, **_k: pytest.fail("a cell was counted"))
     with pytest.raises(exc) as info:
         getattr(tables, f"{which.replace('-', '_')}_table")(*sizes)
