@@ -119,6 +119,8 @@ def path_to_preference(path: str) -> tuple[int, ...]:
     spot counter k; a U step hands spot k to cars i and i+1, an H step to
     car i alone, a D step to nobody.
     """
+    if not path:
+        raise ValueError("Motzkin path must be non-empty")
     if not is_motzkin_path(path):
         raise NotAMotzkinPath(f"{path!r} is not a Motzkin path")
     n = len(path)
@@ -161,7 +163,7 @@ def decreasing_representative(p: Iterable[int]) -> tuple[int, ...]:
         raise NotAMotzkinParkingFunction(f"some spot preferred >2 times in {prefs}")
     word = dec(len(prefs))
     rep = _induced_pf(_path_matching(_popularity_path(prefs)), word)
-    if _mvp(rep, len(word)) != word:
+    if _mvp(rep) != word:
         raise AssertionError(f"{rep}, built from {prefs}, does not park to {word}")
     return rep
 
@@ -173,7 +175,13 @@ def is_noncrossing_matching(arcs: Iterable[tuple[int, int]], n: int) -> bool:
     gives the same arcs: each D closes the nearest open U, so a crossing
     pair comes back nested.  A well-formed arc ending above n gives False.
     """
-    return _is_noncrossing(_check_arc_pairs(arcs), n)
+    return _is_noncrossing(_check_arc_pairs(arcs), _check_vertex_count(n))
+
+
+def _check_vertex_count(n: int) -> int:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
+    return n
 
 
 def _is_noncrossing(pairs, n) -> bool:
@@ -190,8 +198,7 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     Recursive interval splitting: vertex lo is either isolated or matched
     to some k, with independent subproblems inside and outside the arc.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
+    _check_vertex_count(n)
 
     def rec(lo: int, hi: int) -> Iterator[frozenset[tuple[int, int]]]:
         if lo > hi:
@@ -210,7 +217,7 @@ def noncrossing_matchings(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 def noncross_to_motzkin(arcs: Iterable[tuple[int, int]], n: int) -> str:
     """U at arc openers, D at arc closers, H at isolated vertices."""
-    return _noncross_path(_check_arc_pairs(arcs), n)
+    return _noncross_path(_check_arc_pairs(arcs), _check_vertex_count(n))
 
 
 def _noncross_path(pairs, n) -> str:
@@ -245,7 +252,7 @@ def prime_decomposition(arcs: Iterable[tuple[int, int]], n: int) -> list[tuple[i
     outside every arc is a singleton.
     """
     pairs = _check_arc_pairs(arcs)
-    if not _is_noncrossing(pairs, n):
+    if not _is_noncrossing(pairs, _check_vertex_count(n)):
         raise NotANonCrossingMatching(f"{sorted(pairs)} on [{n}]")
     end = dict(pairs)
     intervals, k = [], 1

@@ -9,10 +9,12 @@ earlier occupant out; the bumped car then drives on from the contested spot
 and re-parks in the first free spot it finds.  Bumps never propagate: a
 bumped car only ever re-parks in a free spot.
 
-If every car manages to park the preference is a parking function; both
-rules succeed on exactly the same preferences, they only differ in which
-car ends up where.  The module also walks every parking function of a
-length with its MVP outcome, depth first.
+If every car manages to park the preference is a parking function.  Under
+both rules each arriving car fills the same new spot, the first free one at
+or right of its preference, so both park the same preferences and one street
+kernel, `_mvp`, runs both: they differ only in which car drives on to that
+spot, the arriving one or the one it bumps.  The module also walks every
+parking function of a length with its MVP outcome, depth first.
 """
 
 from __future__ import annotations
@@ -84,35 +86,28 @@ def format_preference(p: Iterable[int]) -> str:
     return ",".join(str(x) for x in p)
 
 
-def _classical(prefs, n):
-    """Car per spot under the classical rule, or None if a car exits."""
-    spots = [0] * (n + 2)  # spots[0] is unused and spots[n+1] stays empty
-    for car in range(1, n + 1):
-        s = spots.index(0, prefs[car - 1])
-        if s > n:
-            return None
-        spots[s] = car
-    return tuple(spots[1:-1])
+def _mvp(prefs, classical=False, log=None):
+    """Car per spot under the MVP rule, or the classical one, or None if a car exits.
 
-
-def _mvp(prefs, n, log=None):
-    """Car per spot under the MVP rule, or None if a bumped car exits.
-
-    No validation; each bump is appended to `log` as a BumpEvent when a list
-    is passed.
+    No validation; each MVP bump is appended to `log` as a BumpEvent when a
+    list is passed.  Flags are not keyword-only, which would cost up to 5% a call.
     """
+    n = len(prefs)
     spots = [0] * (n + 2)  # spots[0] is unused and spots[n+1] stays empty
     for car in range(1, n + 1):
         s = prefs[car - 1]
         bumped = spots[s]
-        spots[s] = car
         if bumped:
             t = spots.index(0, s + 1)
             if t > n:
                 return None
+            if classical:
+                spots[t] = car
+                continue
             spots[t] = bumped
             if log is not None:
                 log.append(BumpEvent(bumped, s, t))
+        spots[s] = car
     return tuple(spots[1:-1])
 
 
@@ -167,16 +162,12 @@ def is_parking_function(p: Iterable[int]) -> bool:
 
 def outcome_classical(p: Iterable[int]) -> tuple[int, ...]:
     """Outcome permutation of the classical process: spot -> car."""
-    prefs = check_preference(p)
-    outcome = _classical(prefs, len(prefs))
-    if outcome is None:
-        raise NotAParkingFunction(f"{prefs} is not a parking function")
-    return outcome
+    return _park(check_preference(p), classical=True)
 
 
-def _park(prefs, log=None):
+def _park(prefs, classical=False, log=None):
     """`_mvp` on a checked vector, raising NotAParkingFunction if a car exits."""
-    outcome = _mvp(prefs, len(prefs), log)
+    outcome = _mvp(prefs, classical, log)
     if outcome is None:
         raise NotAParkingFunction(f"{prefs} is not a parking function")
     return outcome
@@ -185,7 +176,7 @@ def _park(prefs, log=None):
 def outcome_mvp(p: Iterable[int]) -> MvpOutcome:
     """Outcome permutation of the MVP process together with its bump log."""
     log: list[BumpEvent] = []
-    return MvpOutcome(_park(check_preference(p), log), tuple(log))
+    return MvpOutcome(_park(check_preference(p), log=log), tuple(log))
 
 
 def displacement_mvp(p: Iterable[int]) -> int:

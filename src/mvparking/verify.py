@@ -1,11 +1,11 @@
 """Exhaustive property suites behind the `verify` CLI command.
 
-Each suite generates a family of inputs (all permutations, all parking functions,
-all subgraphs, ...) up to a size cap and checks each case as it is generated against
-an independent route, taking any fibre size it compares with from `fibre_size`; thm-2.8
-takes its sizes from `fibre_size`'s run counter, one shared across each S_n, whose
-sub-runs recur raw.  It returns the cases checked with what was checked, or raises
-`_Counterexample` at the first failing case; `run_suite` turns either into a
+Each suite generates a family of inputs (all permutations, all parking functions, all
+subgraphs, ...) up to a size cap and checks each case as it is generated against an
+independent route.  Fibre sizes come from `fibre_size`; thm-2.8 takes them from its run
+counter, one per S_n, thm-4.1 counts the `fibre_via_subgraphs` listing, and fibre-size
+compares all three routes.  A suite returns the cases checked with what was checked, or
+raises `_Counterexample` at the first failing case; `run_suite` turns either into a
 `SuiteResult`.  `SUITES` declares each suite's cap (`n` or `m`), its default and the
 CLI's guard.
 
@@ -30,7 +30,6 @@ from .motzkin import (
     noncrossing_matchings,
 )
 from .parking import (
-    _classical,
     _mvp,
     _parking_functions,
     displacement_mvp,
@@ -194,7 +193,7 @@ def _count_valid(subgraphs, word, checked, detail) -> tuple[int, int, int]:
     for arcs in subgraphs:
         pref = _induced_pf(arcs, word)
         cases += 1
-        if _induced_arcs(pref, word) != arcs or _mvp(pref, len(word)) != word:
+        if _induced_arcs(pref, word) != arcs or _mvp(pref) != word:
             raise _Counterexample(checked + cases, detail,
                                   f"pi={format_permutation(word)} S={{{format_arcs(arcs)}}}")
         prefs.add(bytes(pref))
@@ -236,7 +235,7 @@ def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
                 raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
                                       f"p={format_preference(p)}")
             via_classical = _canonical_toppling(_minrec(cfg, classical=True))
-            if via_classical != _classical(p, n):
+            if via_classical != _mvp(p, classical=True):
                 raise _Counterexample(checked, "classical variant vs direct outcome",
                                       f"p={format_preference(p)}")
     return checked, (

@@ -111,6 +111,19 @@ def mvp_outcome(prefs) -> tuple[int, ...] | None:
     return tuple(spots[1:])
 
 
+def classical_outcome(prefs) -> tuple[int, ...] | None:
+    """Car per spot under the classical rule, or None when a car exits."""
+    n = len(prefs)
+    spots = [0] * (n + 1)
+    for car, s in enumerate(prefs, start=1):
+        while s <= n and spots[s]:
+            s += 1
+        if s > n:
+            return None
+        spots[s] = car
+    return tuple(spots[1:])
+
+
 def spot_order_walk(word) -> tuple[list, set, int, int]:
     """(sorted fibre, set of valid subgraphs, #P2-free, #HS subgraphs) of
     `word`, by a DFS over the P2-free 1-subgraphs that picks vertex i's

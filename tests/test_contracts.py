@@ -211,6 +211,7 @@ BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
                  motzkin.prime_decomposition, motzkin.dec_to_split_subgraph)],
     ("step outside the alphabet", motzkin.is_motzkin_path, ("UXDY",),
      "steps ['X', 'Y'] not in alphabet U/H/D"),
+    ("empty path", motzkin.path_to_preference, ("",), "Motzkin path must be non-empty"),
     ("edge beyond n", perms.edges_acyclic, ([(1, 5)], 3), "edge (1,5) has a vertex outside 1..3"),
     ("negative count", motzkin.motzkin_numbers, (-1,), "need an int upto >= 0, got -1"),
 ]
@@ -236,6 +237,11 @@ BAD_SIZES = [  # (label, call, arguments, exception, message): sizes and indices
      "vertex count must be a non-negative int, got 2.0"),
     ("negative size", motzkin.noncrossing_matchings, (-1,), ValueError,
      "vertex count must be a non-negative int, got -1"),
+    *[(label, fn, (arcs, n), ValueError, f"vertex count must be a non-negative int, got {n!r}")
+      for label, n in [("float size", 2.5), ("bool size", True), ("negative size", -1)]
+      for fn, arcs in [(motzkin.noncross_to_motzkin, set()),
+                       (motzkin.is_noncrossing_matching, {(1, 2)}),
+                       (motzkin.prime_decomposition, set())]],
     ("bool count", motzkin.motzkin_numbers, (True,), ValueError, "need an int upto >= 0, got True"),
     ("float count", motzkin.motzkin_numbers, (2.0,), ValueError, "need an int upto >= 0, got 2.0"),
     ("bool size", motzkin.dec_to_split_subgraph, ((), True), ValueError,

@@ -16,7 +16,7 @@ from mvparking.parking import (
     parse_preference,
 )
 
-from helpers import all_preferences, mvp_outcome
+from helpers import all_preferences, classical_outcome, mvp_outcome
 
 
 def test_worked_example_both_models():
@@ -134,10 +134,11 @@ def test_bump_log_structure_exhaustive():
 
 
 def test_mvp_kernel_returns_the_outcome_or_none():
-    """`_mvp` is the helper simulation on every vector of [n]^n, None included."""
+    """`_mvp` is the helper simulation of either rule on every vector of [n]^n, None included."""
     for n in range(1, 7):
         for p in all_preferences(n):
-            assert parking._mvp(p, n) == mvp_outcome(p), p
+            assert parking._mvp(p) == mvp_outcome(p), p
+            assert parking._mvp(p, classical=True) == classical_outcome(p), p
 
 
 def test_parking_function_walk_equals_the_filtered_scan_in_order():

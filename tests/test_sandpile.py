@@ -267,7 +267,7 @@ def test_sandpile_route_decides_parking_by_recurrence_alone(monkeypatch):
         for p in product(range(1, n + 1), repeat=n):
             assert is_recurrent(tuple(n - x for x in p)) == is_parking_function(p), p
     calls = []
-    monkeypatch.setattr(parking, "_mvp", lambda *args: calls.append(args))
+    monkeypatch.setattr(parking, "_mvp", lambda *args, **kwargs: calls.append(args))
     assert mvp_outcome_via_sandpile((3, 1, 1, 2)) == (3, 4, 1, 2)
     with pytest.raises(NotAParkingFunction, match=r"^\(3, 3, 3\) is not a parking function$"):
         mvp_outcome_via_sandpile((3, 3, 3))

@@ -291,6 +291,8 @@ def test_cli_noncross_guard(capsys, monkeypatch):
 def test_cli_motzkin_errors(capsys):
     code, _, err = run_cli(capsys, "motzkin", "inverse", "--path", "DU")
     assert code == 2 and "Motzkin" in err
+    code, out, err = run_cli(capsys, "motzkin", "inverse", "--path", "")
+    assert (code, out, err) == (2, "", "error: Motzkin path must be non-empty\n")
     _, err = usage_error(capsys, "motzkin", "phi")
     assert "required" in err
 
@@ -844,7 +846,7 @@ SUITE_FAULTS = [  # (suite, caps, verify name to replace, replacement, checked, 
      "pi=321 S={1-3,2-3}"),  # two left-arcs on 3: either one alone parks to 321
     ("thm-4.1", {"m": 0}, "fibre_via_subgraphs", lambda word: [], 1, "m=0: enumerated 0, formula 1"),
     ("thm-5.5", {"n": 1}, "_canonical_toppling", lambda cfg: (), 1, "p=1"),
-    ("thm-5.5", {"n": 1}, "_classical", lambda prefs, n: (), 1, "p=1"),
+    ("thm-5.5", {"n": 1}, "_mvp", lambda prefs, classical=False: (), 1, "p=1"),
     ("thm-6.3", {"n": 3}, "dec_to_split_subgraph", lambda arcs, n: frozenset(), 4,
      "n=3: images=4 distinct=1 fibre_size=4"),
     ("thm-6.3", {"n": 3}, "split_left", lambda m, n: tuple(range(1, m + n + 1)), 2,
