@@ -73,7 +73,9 @@ _STEPS = frozenset("UHD")
 
 
 def check_path(path: str) -> str:
-    """Validate the step alphabet (U/H/D only); returns the path."""
+    """Validate a step string over the alphabet U/H/D; returns the path."""
+    if type(path) is not str:
+        raise ValueError(f"a path must be a str of U/H/D steps, got {path!r}")
     if not _STEPS.issuperset(path):
         raise ValueError(f"steps {sorted(set(path) - _STEPS)} not in alphabet U/H/D")
     return path
@@ -113,28 +115,13 @@ def is_motzkin_path(path: str) -> bool:
 
 def path_to_preference(path: str) -> tuple[int, ...]:
     """The unique non-decreasing parking function whose popularity path is
-    the given Motzkin path.
-
-    Streaming construction: walk the steps keeping a car counter i and a
-    spot counter k; a U step hands spot k to cars i and i+1, an H step to
-    car i alone, a D step to nobody.
-    """
-    if not path:
+    the given Motzkin path: spot k, once per car that prefers it (two at U,
+    one at H, none at D)."""
+    if not check_path(path):
         raise ValueError("Motzkin path must be non-empty")
     if not is_motzkin_path(path):
         raise NotAMotzkinPath(f"{path!r} is not a Motzkin path")
-    n = len(path)
-    prefs = [0] * n
-    i = 1
-    for k, step in enumerate(path, start=1):
-        if step == "U":
-            prefs[i - 1] = k
-            prefs[i] = k
-            i += 2
-        elif step == "H":
-            prefs[i - 1] = k
-            i += 1
-    return tuple(prefs)
+    return tuple(k for k, step in enumerate(path, start=1) for _ in range("DHU".index(step)))
 
 
 def is_motzkin_pf(p: Iterable[int]) -> bool:

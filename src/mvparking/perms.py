@@ -112,6 +112,8 @@ def edges_acyclic(edges: Iterable[tuple[int, int]], n: int) -> bool:
 
     Independent of the pattern characterisation; used to cross-check it.
     """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
     parent = list(range(n + 1))
 
     def find(x: int) -> int:

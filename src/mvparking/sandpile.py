@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import ge
 from typing import Iterable, NamedTuple
 
-from .parking import NotAParkingFunction, check_preference
+from .parking import NotAParkingFunction, check_preference, format_preference
 
 __all__ = [
     "MinrecStep",
@@ -97,8 +97,7 @@ def parse_config(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse configuration {text!r}: {exc}") from None
 
 
-def format_config(c: Iterable[int]) -> str:
-    return ",".join(str(x) for x in c)
+format_config = format_preference  # a configuration prints as a preference does
 
 
 def is_stable(c: Iterable[int]) -> bool:

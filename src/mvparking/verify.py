@@ -3,7 +3,7 @@
 Each suite generates a family of inputs (all permutations, all parking functions, all
 subgraphs, ...) up to a size cap and checks each case as it is generated against an
 independent route.  Fibre sizes come from `fibre_size`; thm-2.8 takes them from its run
-counter, one per S_n, thm-4.1 counts the `fibre_via_subgraphs` listing, and fibre-size
+counter, one for S_1..S_n, thm-4.1 counts the `fibre_via_subgraphs` listing, and fibre-size
 compares all three routes.  A suite returns the cases checked with what was checked, or
 raises `_Counterexample` at the first failing case; `run_suite` turns either into a
 `SuiteResult`.  `SUITES` declares each suite's cap (`n` or `m`), its default and the
@@ -19,7 +19,7 @@ its MVP outcome.  Public functions stay where a suite tests them as such.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import NamedTuple
 
 from .motzkin import (
@@ -87,24 +87,31 @@ class _Counterexample(Exception):
     (cases checked so far, what was checked, the counterexample)."""
 
 
+def _pfs(n_cap: int):
+    """Each parking function of size 1..n_cap with its MVP outcome, size by size."""
+    return chain.from_iterable(map(_parking_functions, range(1, n_cap + 1)))
+
+
+def _perms(n_cap: int):
+    """Each permutation in S_1..S_n_cap, size by size, each S_n lexicographic."""
+    return chain.from_iterable(permutations(range(1, n + 1)) for n in range(1, n_cap + 1))
+
+
 def _suite_thm_2_5(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    for n in range(1, n_cap + 1):
-        for p, word in _parking_functions(n):
-            back = _induced_pf(_induced_arcs(p, word), word)
-            checked += 1
-            if back != p:
-                raise _Counterexample(
-                    checked, "round-trip through the subgraph map",
-                    f"p={format_preference(p)} came back as {format_preference(back)}")
+    for checked, (p, word) in enumerate(_pfs(n_cap), start=1):
+        back = _induced_pf(_induced_arcs(p, word), word)
+        if back != p:
+            raise _Counterexample(
+                checked, "round-trip through the subgraph map",
+                f"p={format_preference(p)} came back as {format_preference(back)}")
     inj_cap = min(n_cap, 6)  # sum of subgraph counts over S_7 is already huge
-    for n in range(1, inj_cap + 1):
-        for word in permutations(range(1, n + 1)):
-            images = [_induced_pf(s, word) for s in enumerate_one_subgraphs(word)]
-            checked += len(images)
-            if len(set(images)) != len(images):
-                raise _Counterexample(checked, "injectivity over all 1-subgraphs",
-                                      f"pi={format_permutation(word)} has colliding images")
+    for word in _perms(inj_cap):
+        images = [_induced_pf(s, word) for s in enumerate_one_subgraphs(word)]
+        checked += len(images)
+        if len(set(images)) != len(images):
+            raise _Counterexample(checked, "injectivity over all 1-subgraphs",
+                                  f"pi={format_permutation(word)} has colliding images")
     return checked, (
         f"round-trip over all parking functions (n<={n_cap}) "
         f"and injectivity over all 1-subgraphs (n<={inj_cap})")
@@ -112,18 +119,16 @@ def _suite_thm_2_5(n_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_thm_2_8(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    for n in range(1, n_cap + 1):
-        count = _run_counter(by_pattern=False)  # sub-runs of S_n recur raw
-        for word in permutations(range(1, n + 1)):
-            checked += 1
-            by_pattern = inversion_graph_acyclic(word)
-            by_search = edges_acyclic(inversions(word), n)
-            all_valid = count(word) == count_one_subgraphs(word)
-            if not (by_pattern == by_search == all_valid):
-                raise _Counterexample(
-                    checked, "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
-                    f"pi={format_permutation(word)}: patterns={by_pattern} "
-                    f"search={by_search} all_valid={all_valid}")
+    count = _run_counter(by_pattern=False)  # sub-runs of S_1..S_n recur raw
+    for checked, word in enumerate(_perms(n_cap), start=1):
+        by_pattern = inversion_graph_acyclic(word)
+        by_search = edges_acyclic(inversions(word), len(word))
+        all_valid = count(word) == count_one_subgraphs(word)
+        if not (by_pattern == by_search == all_valid):
+            raise _Counterexample(
+                checked, "acyclicity (patterns vs union-find) vs all-subgraphs-valid",
+                f"pi={format_permutation(word)}: patterns={by_pattern} "
+                f"search={by_search} all_valid={all_valid}")
     return checked, (
         f"all permutations with n<={n_cap}: acyclic <=> 321/3412-avoiding <=> "
         "every 1-subgraph valid, with the product formula when acyclic")
@@ -131,41 +136,36 @@ def _suite_thm_2_8(n_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_prop_2_9(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    for n in range(1, n_cap + 1):
-        for p, word in _parking_functions(n):
-            checked += 1
-            via_arcs = sum(i - j for j, i in _induced_arcs(p, word))
-            if displacement_mvp(p) != via_arcs:
-                raise _Counterexample(checked, "displacement equals total arc length",
-                                      f"p={format_preference(p)}")
+    for checked, (p, word) in enumerate(_pfs(n_cap), start=1):
+        via_arcs = sum(i - j for j, i in _induced_arcs(p, word))
+        if displacement_mvp(p) != via_arcs:
+            raise _Counterexample(checked, "displacement equals total arc length",
+                                  f"p={format_preference(p)}")
     return checked, f"displacement identity over all parking functions with n<={n_cap}"
 
 
-def _subgraph_implication(n_cap, premise_holds, conclusion_holds, detail):
-    checked = 0
-    for n in range(1, n_cap + 1):
-        for word in permutations(range(1, n + 1)):
-            valid = {_induced_arcs(p, word) for p in _unpark(word)}
-            for sub in enumerate_one_subgraphs(word):
-                checked += 1
-                if premise_holds(sub, valid) and not conclusion_holds(sub, valid):
-                    raise _Counterexample(checked, detail,
-                                          f"pi={format_permutation(word)} S={{{format_arcs(sub)}}}")
+def _suite_prop_2_10(n_cap: int, seed: int) -> tuple[int, str]:
+    checked, detail = 0, f"valid implies P2-free, all 1-subgraphs of all permutations, n<={n_cap}"
+    for word in _perms(n_cap):
+        valid = {_induced_arcs(p, word) for p in _unpark(word)}
+        for sub in enumerate_one_subgraphs(word):
+            checked += 1
+            if sub in valid and not _is_p2_free(sub):
+                raise _Counterexample(checked, detail,
+                                      f"pi={format_permutation(word)} S={{{format_arcs(sub)}}}")
     return checked, detail
 
 
-def _suite_prop_2_10(n_cap: int, seed: int) -> tuple[int, str]:
-    return _subgraph_implication(
-        n_cap, premise_holds=lambda sub, valid: sub in valid,
-        conclusion_holds=lambda sub, valid: _is_p2_free(sub),
-        detail=f"valid implies P2-free, all 1-subgraphs of all permutations, n<={n_cap}")
-
-
 def _suite_prop_2_11(n_cap: int, seed: int) -> tuple[int, str]:
-    return _subgraph_implication(
-        n_cap, premise_holds=lambda sub, valid: _is_hs(sub),
-        conclusion_holds=lambda sub, valid: sub in valid,
-        detail=f"HS implies valid, all 1-subgraphs of all permutations, n<={n_cap}")
+    checked, detail = 0, f"HS implies valid, all 1-subgraphs of all permutations, n<={n_cap}"
+    for word in _perms(n_cap):
+        valid = {_induced_arcs(p, word) for p in _unpark(word)}
+        for sub in enumerate_one_subgraphs(word):
+            checked += 1
+            if _is_hs(sub) and sub not in valid:
+                raise _Counterexample(checked, detail,
+                                      f"pi={format_permutation(word)} S={{{format_arcs(sub)}}}")
+    return checked, detail
 
 
 def _suite_thm_3_2(n_cap: int, seed: int) -> tuple[int, str]:
@@ -227,17 +227,15 @@ def _suite_thm_4_1(m_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_thm_5_5(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    for n in range(1, n_cap + 1):
-        for p, word in _parking_functions(n):
-            checked += 1
-            cfg = tuple(map(n.__sub__, p))
-            if _canonical_toppling(_minrec(cfg, classical=False)) != word:
-                raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
-                                      f"p={format_preference(p)}")
-            via_classical = _canonical_toppling(_minrec(cfg, classical=True))
-            if via_classical != _mvp(p, classical=True):
-                raise _Counterexample(checked, "classical variant vs direct outcome",
-                                      f"p={format_preference(p)}")
+    for checked, (p, word) in enumerate(_pfs(n_cap), start=1):
+        cfg = tuple(map(len(p).__sub__, p))
+        if _canonical_toppling(_minrec(cfg, classical=False)) != word:
+            raise _Counterexample(checked, "sandpile route vs direct MVP outcome",
+                                  f"p={format_preference(p)}")
+        via_classical = _canonical_toppling(_minrec(cfg, classical=True))
+        if via_classical != _mvp(p, classical=True):
+            raise _Counterexample(checked, "classical variant vs direct outcome",
+                                  f"p={format_preference(p)}")
     return checked, (
         f"both outcome maps recovered through the sandpile for every parking "
         f"function with n<={n_cap}")
@@ -279,17 +277,15 @@ def _suite_fibre_size(n_cap: int, seed: int) -> tuple[int, str]:
 
 def _suite_subgraph_counts(n_cap: int, seed: int) -> tuple[int, str]:
     checked = 0
-    for n in range(1, n_cap + 1):
-        for word in permutations(range(1, n + 1)):
-            checked += 1
-            subs = list(enumerate_one_subgraphs(word))
-            filtered = (sum(map(_is_p2_free, subs)), sum(map(_is_hs, subs)))
-            counted = (p2_free_count(word), hs_count(word))
-            if counted != filtered:
-                raise _Counterexample(
-                    checked, "P2-free and HS dynamic programs vs filtered 1-subgraphs",
-                    f"pi={format_permutation(word)}: p2_free_count={counted[0]} "
-                    f"filtered={filtered[0]}, hs_count={counted[1]} filtered={filtered[1]}")
+    for checked, word in enumerate(_perms(n_cap), start=1):
+        subs = list(enumerate_one_subgraphs(word))
+        filtered = (sum(map(_is_p2_free, subs)), sum(map(_is_hs, subs)))
+        counted = (p2_free_count(word), hs_count(word))
+        if counted != filtered:
+            raise _Counterexample(
+                checked, "P2-free and HS dynamic programs vs filtered 1-subgraphs",
+                f"pi={format_permutation(word)}: p2_free_count={counted[0]} "
+                f"filtered={filtered[0]}, hs_count={counted[1]} filtered={filtered[1]}")
     return checked, (
         f"p2_free_count and hs_count equal the P2-free and HS 1-subgraphs counted "
         f"one by one, on every permutation with n<={n_cap}")

@@ -212,6 +212,9 @@ BAD_ARCS = [  # (label, call, arguments, message); each raises ValueError
     ("step outside the alphabet", motzkin.is_motzkin_path, ("UXDY",),
      "steps ['X', 'Y'] not in alphabet U/H/D"),
     ("empty path", motzkin.path_to_preference, ("",), "Motzkin path must be non-empty"),
+    *[("non-str path", fn, (path,), f"a path must be a str of U/H/D steps, got {path!r}")
+      for fn, path in [(motzkin.check_path, 5), (motzkin.is_motzkin_path, None),
+                       (motzkin.path_to_preference, ["U", "D"])]],
     ("edge beyond n", perms.edges_acyclic, ([(1, 5)], 3), "edge (1,5) has a vertex outside 1..3"),
     ("negative count", motzkin.motzkin_numbers, (-1,), "need an int upto >= 0, got -1"),
 ]
@@ -241,7 +244,7 @@ BAD_SIZES = [  # (label, call, arguments, exception, message): sizes and indices
       for label, n in [("float size", 2.5), ("bool size", True), ("negative size", -1)]
       for fn, arcs in [(motzkin.noncross_to_motzkin, set()),
                        (motzkin.is_noncrossing_matching, {(1, 2)}),
-                       (motzkin.prime_decomposition, set())]],
+                       (motzkin.prime_decomposition, set()), (perms.edges_acyclic, set())]],
     ("bool count", motzkin.motzkin_numbers, (True,), ValueError, "need an int upto >= 0, got True"),
     ("float count", motzkin.motzkin_numbers, (2.0,), ValueError, "need an int upto >= 0, got 2.0"),
     ("bool size", motzkin.dec_to_split_subgraph, ((), True), ValueError,

@@ -70,9 +70,10 @@ def test_path_to_preference_goldens():
 
 
 def test_path_round_trip_all_paths():
-    for n in range(1, 10):
+    for n in range(1, 13):
         for path in gen_motzkin_paths(n):
             p = path_to_preference(path)
+            assert len(p) == len(path)
             assert preference_path(p) == path
             assert list(p) == sorted(p)
             assert is_parking_function(p)

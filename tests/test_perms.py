@@ -78,6 +78,7 @@ def test_acyclic_agrees_with_union_find_exhaustive():
     for n in range(1, 8):
         for word in permutations(range(1, n + 1)):
             assert inversion_graph_acyclic(word) == edges_acyclic(inversions(word), n)
+    assert edges_acyclic([], 0)
 
 
 def test_constructors_goldens():

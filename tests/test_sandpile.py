@@ -350,7 +350,7 @@ def test_abelian_property_randomised():
 
 def test_config_parse_format():
     assert parse_config("11,9,5") == (11, 9, 5)
-    assert format_config((0, 3, 2)) == "0,3,2"
+    assert format_config((0, 3, 2)) == "0,3,2" == parking.format_preference((0, 3, 2))
     with pytest.raises(ValueError):
         parse_config("1,-2")
     with pytest.raises(ValueError):
