@@ -51,9 +51,9 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
-# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes about 1 s
-# end to end and bipart(8,8) 0.6 s, but the output grows with the fibre: dec(16) takes 7-8 s
-# and 260 MiB (295 MiB with --format pretty).
+# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.35-0.55 s
+# end to end and bipart(8,8) 0.3-0.4 s on a 2-vCPU VM, but the output grows with the fibre:
+# dec(16) takes 2.3-3.6 s at 223 MiB (245 MiB with --format json, 263 MiB with csv).
 FIBRE_GUARD = 14
 # Largest grain total for `sandpile stabilise` without --force.  A toppling removes one grain,
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
@@ -106,8 +106,9 @@ def cmd_fibre(args) -> tuple[int, _Output]:
         return status, _Output(None, None, tables.ReportTable(
             f"fibre-{perm}", [f"p{k}" for k in range(1, len(word) + 1)], fibre,
             {"permutation": perm, "size": len(fibre)}))
-    size, prefs = len(fibre), [format_preference(p) for p in fibre]
-    del fibre, brute  # from here on only the strings are held, not the members as well
+    size, prefs = len(fibre), fibre
+    for k, p in enumerate(prefs):  # in place: each member is freed as its line is built
+        prefs[k] = format_preference(p)
     if args.format == "json":
         data = {"permutation": perm, "fibre": prefs, "size": size}
         if args.method == "both":

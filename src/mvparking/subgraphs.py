@@ -16,10 +16,11 @@ the P2-free one by gaps between later values.
 
 Four independent programs list and count fibres.  `fibre_via_subgraphs`
 un-parks the cars n..1 backward from pi, so it only meets occupancies that
-still park to pi and has no dead ends.  `fibre_size` counts by a recursion
-over occupied runs, since un-parking a car changes only the run it is in,
-and keys its memo by each run's rank pattern, so the structured families
-repeat few of them: dec(30) counts from 236 patterns.
+still park to pi, has no dead ends and lists in order, with no final sort.
+`fibre_size` counts by a recursion over occupied runs, since un-parking a
+car changes only the run it is in, and keys its memo by each run's rank
+pattern, so the structured families repeat few of them: dec(30) counts
+from 236 patterns.
 `outcome_distribution` counts every fibre of S_n in one forward pass from
 the empty street, and `fibre_brute` walks every parking function forward;
 both park each car by `parking._moves`.
@@ -195,40 +196,48 @@ def _is_hs(pairs) -> bool:
 
 
 def _unpark(word) -> list[tuple[int, ...]]:
-    """The backward program from `word`, listing its fibre unsorted.
+    """The backward program from `word`, listing its fibre in lexicographic order.
 
     Level c maps each occupancy after cars 1..c have parked (padded bytes,
-    spot -> car, 0 for empty, so n <= 255) to the preference suffixes of
-    cars c+1..n that finish it to `word`; the full occupancy holds [()].
-    Car c still holds the spot p it preferred, and it came to p in one of
-    two ways: p was free, or it bumped a car b of the occupied run right of
-    p, since b moved to the first free spot.  Un-parking car c undoes either
-    move: p goes in front of each suffix, and the new suffixes go to each
-    predecessor, lists meeting at one predecessor joined.
+    spot -> car, 0 for empty, so n <= 255) to one part (q, suffixes) per
+    successor, whose car c+1 took spot q: the sorted suffixes, each starting
+    with q, that finish it to `word`.  Popped, it sorts its parts by q
+    (distinct: a forward step is a function of q) and puts car c's spot p
+    in front of each suffix.  Car c found p free, or bumped a car b of the occupied run
+    right of p to the first free spot; un-parking it undoes either move and
+    appends (p, suffixes) to each predecessor, never joining lists.  The
+    empty street's parts, joined by car 1's spot, are the fibre in order,
+    with no final sort.
 
     Each backward step is an MVP step read in reverse, and every occupancy
-    of cars 1..c-1 is reachable from the empty street, so every occupancy
-    met lies on a path from the empty street to `word`: nothing is lost and
-    no branch needs a cut.
+    of cars 1..c-1 is reachable from the empty street, so nothing is lost
+    and no branch needs a cut.
     """
     n = len(word)
-    level = {bytes([0, *word, 0]): [()]}  # spot n+1 stays free and ends every run
+    level = {bytes([0, *word, 0]): [(0, [()])]}  # spot n+1 stays free and ends every run
     for car in range(n, 0, -1):
         c = _BYTE[car]
         nxt: dict = {}
         while level:
-            state, suffixes = level.popitem()
+            state, parts = level.popitem()
             p = state.index(car)
             head = (p,)
-            value = [head + s for s in suffixes]
-            key = state.replace(c, b"\0")
-            nxt[key] = nxt[key] + value if key in nxt else value
-            for b in state[p + 1:state.find(0, p + 1)]:
-                # each car appears once: empty b's spot, then put b at p
-                key = state.replace(_BYTE[b], b"\0").replace(c, _BYTE[b])
-                nxt[key] = nxt[key] + value if key in nxt else value
+            if len(parts) > 1:
+                parts.sort()
+                suffixes = [head + s for _, rest in parts for s in rest]
+            elif len(parts[0][1]) == 1:  # one successor with one suffix, the commonest case
+                suffixes = [head + parts[0][1][0]]
+            else:  # unnamed: a name would keep the list alive past later pops (dec(16): +7 MiB)
+                suffixes = [head + s for s in parts[0][1]]
+            part = (p, suffixes)
+            nxt.setdefault(state.replace(c, b"\0"), []).append(part)
+            if state[p + 1]:
+                for b in state[p + 1:state.find(0, p + 1)]:
+                    # each car appears once: empty b's spot, then put b at p
+                    key = state.replace(_BYTE[b], b"\0").replace(c, _BYTE[b])
+                    nxt.setdefault(key, []).append(part)
         level = nxt
-    return level[bytes(n + 2)]
+    return [s for _, rest in sorted(level.popitem()[1]) for s in rest]  # the empty street
 
 
 def _capped(word):
@@ -240,21 +249,17 @@ def _capped(word):
 def fibre_via_subgraphs(pi: Iterable[int]) -> list[tuple[int, ...]]:
     """The MVP outcome fibre of pi: one preference per valid 1-subgraph.
 
-    Lexicographically sorted; refuses n above `FIBRE_CAP`.  `_unpark`
-    carries, for each occupancy, the preference suffixes that finish it to
-    pi, so every suffix it builds ends in a member, at most n per member.
+    Lexicographically sorted as built; refuses n above `FIBRE_CAP`.  `_unpark`
+    carries, for each occupancy, the sorted preference suffixes that finish
+    it to pi, so every suffix it builds ends in a member, at most n per member.
     """
-    return _fibre(check_permutation(pi))
-
-
-def _fibre(word) -> list[tuple[int, ...]]:
-    return sorted(_unpark(_capped(word)))
+    return _unpark(_capped(check_permutation(pi)))
 
 
 def valid_subgraphs(pi: Iterable[int]) -> list[frozenset[tuple[int, int]]]:
     """All valid 1-subgraphs of the inversion graph of pi: those its fibre induces."""
     word = check_permutation(pi)
-    return [_induced_arcs(prefs, word) for prefs in _fibre(word)]
+    return [_induced_arcs(prefs, word) for prefs in _unpark(_capped(word))]
 
 
 def fibre_brute(pi: Iterable[int]) -> list[tuple[int, ...]]:

@@ -187,6 +187,18 @@ def test_fibre_via_subgraphs_lists_bipart_7_7():
     assert len(valid_subgraphs(word)) == 11_337
 
 
+@pytest.mark.parametrize("word, size", [(dec(13), 41_835), (split_right(2, 11), 46_850)])
+def test_large_fibres_are_listed_in_order_with_their_subgraphs_aligned(word, size):
+    # many occupancies here have several successors, whose parts must be joined in spot order
+    fibre = fibre_via_subgraphs(word)
+    assert fibre == sorted(set(fibre)) and len(fibre) == size == fibre_size(word)
+    sample = random.Random(13).sample(fibre, 200)
+    assert all(mvp_outcome(prefs) == word for prefs in [fibre[0], fibre[-1], *sample])
+    induced = [frozenset((prefs[car - 1], i) for i, car in enumerate(word, start=1) if prefs[car - 1] != i)
+               for prefs in fibre]
+    assert valid_subgraphs(word) == induced
+
+
 @pytest.mark.parametrize("n", [0, -1, True, 2.0, 10, 11])
 def test_outcome_distribution_refuses_bad_or_oversized_n(n):
     with pytest.raises(ValueError, match="cap 9" if n in (10, 11) else "positive int"):
