@@ -10,8 +10,10 @@ Each operation (`outcome`, `table bounds`, `sandpile minrec`, ...) has its own
 argparse parser declaring exactly the options it reads, its `--format`
 choices and `--out` among them; a `cmd_*` checks only rules that span two
 flags or need parsed input, and every size guard through `_guard`, before any
-work.  Each `cmd_*` returns its exit status and an `_Output`; `main` alone
-renders and writes that output.
+work.  Each `cmd_*` returns its exit status and an `_Output`, which holds its
+pretty lines, its JSON object and, for tabular output, its CSV rows, each
+possibly lazy.  `main` alone renders the one `--format` names, as a stream of
+text chunks, and writes them in blocks: no output is held as one string.
 
 `main` builds only the parsers on the path its argv names, since argparse
 makes a help formatter per declared option, and builds the whole tree where
@@ -22,11 +24,14 @@ a flag the operation does not read (see `build_parser`).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import NamedTuple
+from itertools import chain, islice
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple
 
 from . import tables, verify
 from .motzkin import (
@@ -51,14 +56,18 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 
 # Largest `motzkin noncross -n` without --force: M_14 = 113,634 matchings.
 NONCROSS_GUARD = 14
-# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.35-0.55 s
+# Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.34-0.67 s
 # end to end and bipart(8,8) 0.3-0.4 s on a 2-vCPU VM, but the output grows with the fibre:
-# dec(16) takes 2.3-3.6 s at 223 MiB (245 MiB with --format json, 263 MiB with csv).
+# dec(16) takes 2.3-4.5 s at 222-223 MiB in every format, the peak of the listing itself.
 FIBRE_GUARD = 14
 # Largest grain total for `sandpile stabilise` without --force.  A toppling removes one grain,
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
 # measured, 300,000 grains piled on one of 100 vertices, takes 1.2 s end to end.
 STABILISE_GUARD = 300_000
+# Text chunks joined per write.  Under PYTHONUNBUFFERED each write to stdout is one system call:
+# dec(16)'s 853,468 lines took 0.7 s to /dev/null and 1.2-1.9 s to a pipe written one per call,
+# against 0.06 s in blocks, on a 2-vCPU VM.
+WRITE_BLOCK = 4096
 
 
 def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
@@ -68,13 +77,15 @@ def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
 
 
 class _Output(NamedTuple):
-    """What one command produced: `text` is written by --format pretty and
-    `data` dumped by --format json, unless the command returns a `table`,
-    which is then rendered in every format."""
+    """What one command produced, in the form each --format reads: `lines` for
+    pretty, `data` for json and, for tabular output, `rows` (the headers first)
+    for csv.  Only the one asked for is read.  `failures` lists the identity
+    checks a table failed, which go to stderr."""
 
-    text: str | None
+    lines: Iterable[str]
     data: object
-    table: tables.ReportTable | None = None
+    rows: Iterable = ()
+    failures: Iterable[str] = ()
 
 
 def cmd_outcome(args) -> tuple[int, _Output]:
@@ -86,7 +97,7 @@ def cmd_outcome(args) -> tuple[int, _Output]:
     lines = [format_permutation(word)]
     if args.trace:
         lines += [f"bump: car {b.car} from spot {b.from_spot} to spot {b.to_spot}" for b in bumps]
-    return 0, _Output("\n".join(lines), {
+    return 0, _Output(lines, {
         "model": args.model,
         "preference": list(prefs),
         "outcome": format_permutation(word),
@@ -101,25 +112,17 @@ def cmd_fibre(args) -> tuple[int, _Output]:
     brute = fibre_brute(word) if args.method != "subgraph" else None
     fibre = brute if args.method == "brute" else fibre_via_subgraphs(word)
     status = 1 if args.method == "both" and fibre != brute else 0
-    perm = format_permutation(word)
-    if args.format == "csv":  # the fibre can be large: build only what is rendered
-        return status, _Output(None, None, tables.ReportTable(
-            f"fibre-{perm}", [f"p{k}" for k in range(1, len(word) + 1)], fibre,
-            {"permutation": perm, "size": len(fibre)}))
-    size, prefs = len(fibre), fibre
-    for k, p in enumerate(prefs):  # in place: each member is freed as its line is built
-        prefs[k] = format_preference(p)
-    if args.format == "json":
-        data = {"permutation": perm, "fibre": prefs, "size": size}
-        if args.method == "both":
-            data["methods_agree"] = status == 0
-        return status, _Output(None, data)
-    prefs.append(f"size {size}")  # extended in place: no second list of the lines
+    size, perm = len(fibre), format_permutation(word)
+    if args.format != "csv":  # csv writes the tuples; lines are built in place, freeing each
+        for k, p in enumerate(fibre):
+            fibre[k] = format_preference(p)
+    data, verdict = {"permutation": perm, "fibre": fibre, "size": size}, []
     if args.method == "both":
-        prefs.append("PASS subgraph and brute-force enumerations agree"
-                     if status == 0 else
-                     "FAIL subgraph and brute-force enumerations differ")
-    return status, _Output("\n".join(prefs), None)
+        data["methods_agree"] = status == 0
+        verdict = ["PASS subgraph and brute-force enumerations agree" if status == 0 else
+                   "FAIL subgraph and brute-force enumerations differ"]
+    return status, _Output(chain(fibre, [f"size {size}"], verdict), data,
+                           chain([[f"p{k}" for k in range(1, len(word) + 1)]], fibre))
 
 
 def cmd_table(args) -> tuple[int, _Output]:
@@ -128,13 +131,17 @@ def cmd_table(args) -> tuple[int, _Output]:
     for flag, size in zip(flags, sizes):
         _guard(args, f"{flag}={size}", size, guard, args.which)
     table = getattr(tables, f"{args.which.replace('-', '_')}_table")(*sizes)
-    return (1 if table.failures else 0), _Output(None, None, table)
+    return (1 if table.failures else 0), _Output(
+        tables.render_pretty(table),
+        {"name": table.name, "headers": table.headers, "rows": table.rows,
+         "metadata": table.metadata},
+        chain([table.headers], table.rows), table.failures)
 
 
 def cmd_motzkin(args) -> tuple[int, _Output]:
     """Run a `motzkin` operation whose result is one string, `args.op(args)`."""
     result = args.op(args)
-    return 0, _Output(result, {"command": f"motzkin {args.sub}", "result": result})
+    return 0, _Output([result], {"command": f"motzkin {args.sub}", "result": result})
 
 
 def cmd_noncross(args) -> tuple[int, _Output]:
@@ -142,15 +149,15 @@ def cmd_noncross(args) -> tuple[int, _Output]:
     matchings = noncrossing_matchings(args.n)
     if args.count:
         count = str(sum(1 for _ in matchings))
-        return 0, _Output(count, {"command": "motzkin noncross", "result": count})
+        return 0, _Output([count], {"command": "motzkin noncross", "result": count})
     arcs = [format_arcs(m) for m in matchings]
-    return 0, _Output("\n".join(arcs), {"command": "motzkin noncross", "result": arcs})
+    return 0, _Output(arcs, {"command": "motzkin noncross", "result": arcs})
 
 
 def cmd_sandpile(args) -> tuple[int, _Output]:
     """Run a `sandpile` operation: `args.op(args)` gives its result line, then its trace lines."""
     lines = args.op(args)
-    return 0, _Output("\n".join(lines),
+    return 0, _Output(lines,
                       {"command": f"sandpile {args.sub}", "result": lines[0], "trace": lines[1:]})
 
 
@@ -190,7 +197,7 @@ def cmd_verify(args) -> tuple[int, _Output]:
             _guard(args, f"{flag}={cap}", cap, guard, f"verify --suite {name}")
     results = verify.run_suites(names, n=args.n, m=args.m, seed=args.seed)
     status = 0 if all(r.passed for r in results) else 1
-    return status, _Output("\n".join(r.summary() for r in results), [
+    return status, _Output([r.summary() for r in results], [
         {"suite": r.name, "passed": r.passed, "checked": r.checked,
          "detail": r.detail, "counterexample": r.counterexample} for r in results])
 
@@ -312,6 +319,21 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser if built else build_parser()
 
 
+def _render(fmt: str, out: _Output) -> Iterable[str]:
+    """`out` in --format `fmt`, as a stream of text chunks that ends in a newline.
+
+    json gives the bytes of `json.dumps(data, indent=2)`, a token at a time.
+    csv writes integer cells unquoted, with LF line endings, and never the
+    metadata: it is the diff-friendly golden and depends on the cells alone.
+    """
+    if fmt == "json":
+        return chain(json.JSONEncoder(indent=2).iterencode(out.data), ["\n"])
+    if fmt == "csv":  # `writerow` returns what its file's `write` does: here, the line itself
+        writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
+        return map(writer.writerow, out.rows)
+    return (line + "\n" for line in out.lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, unread = build_parser(argv).parse_known_args(argv)
@@ -319,21 +341,17 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         status, out = args.func(args)
-        if out.table is not None:
-            text = getattr(tables, f"render_{args.format}")(out.table)
-        else:
-            text = json.dumps(out.data, indent=2) if args.format == "json" else out.text
-        ending = "" if text.endswith("\n") else "\n"  # written apart: `text` can be large
+        chunks = _render(args.format, out)
         try:
             with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
-                sink.write(text)
-                sink.write(ending)
+                while block := "".join(islice(chunks, WRITE_BLOCK)):
+                    sink.write(block)
         except OSError as exc:
             if not args.out:  # so would the interpreter's last flush of stdout (say, a closed pipe)
                 with open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise ValueError(f"cannot write output: {exc}") from None
-        for line in out.table.failures if out.table else ():
+        for line in out.failures:
             print(line, file=sys.stderr)
         return status
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Report tables for the desk-scale enumerations, with CSV/JSON rendering.
+"""Report tables for the desk-scale enumerations, with a pretty renderer and a CSV reader.
 
 Every cell is an exact count from one engine, `fibre_size`'s recursion over
 the occupied runs met un-parking the cars, or from the P2-free and HS
@@ -11,17 +11,19 @@ again, so ranking each one before the lookup costs more than the hits it
 adds (S_9 about 2.7 times slower).  `TABLES` declares each table's sizes,
 least size, guard and cap; a builder checks its sizes against them before
 any cell.  A table lists each identity check it failed in `failures`, which
-no renderer writes.
+no renderer writes.  `render_pretty` yields a table's lines; `mvpark` writes
+its CSV and JSON from the headers, rows and metadata, and `parse_csv` reads
+that CSV back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from itertools import permutations
 from math import comb
+from typing import Iterator
 
 from .motzkin import motzkin_numbers
 from .perms import bipart, dec, format_permutation, split_right
@@ -36,8 +38,6 @@ __all__ = [
     "conjecture_table",
     "dec_vs_split_table",
     "parse_csv",
-    "render_csv",
-    "render_json",
     "render_pretty",
 ]
 
@@ -195,39 +195,15 @@ def conjecture_table(max_n: int) -> ReportTable:
         lambda rows: failures, max_n=max_n, exhaustive_over="S_n")
 
 
-def render_pretty(table: ReportTable) -> str:
-    cols = [[h, *(str(r[k]) for r in table.rows)] for k, h in enumerate(table.headers)]
-    widths = [max(len(x) for x in col) for col in cols]
-    lines = [f"# {table.name}"]
-    lines.append("  ".join(h.rjust(w) for h, w in zip(table.headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in table.rows:
-        lines.append("  ".join(str(c).rjust(w) for c, w in zip(row, widths)))
+def render_pretty(table: ReportTable) -> Iterator[str]:
+    """The table's lines, without line ends: its name, the right-aligned
+    columns under their headers, then its metadata."""
+    widths = [max(len(str(c)) for c in col) for col in zip(table.headers, *table.rows)]
+    yield f"# {table.name}"
+    for row in [table.headers, ["-" * w for w in widths], *table.rows]:
+        yield "  ".join(str(c).rjust(w) for c, w in zip(row, widths))
     if table.metadata:
-        meta = " ".join(f"{k}={v}" for k, v in sorted(table.metadata.items()))
-        lines.append(f"# {meta}")
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(table: ReportTable) -> str:
-    """Headers then rows; integer cells unquoted, LF line endings.
-
-    Metadata is deliberately not serialised: CSV is the diff-friendly
-    golden format and must depend on the cells alone.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.headers)
-    writer.writerows(table.rows)
-    return buf.getvalue()
-
-
-def render_json(table: ReportTable) -> str:
-    return json.dumps(
-        {"name": table.name, "headers": table.headers, "rows": table.rows,
-         "metadata": table.metadata},
-        indent=2,
-    ) + "\n"
+        yield "# " + " ".join(f"{k}={v}" for k, v in sorted(table.metadata.items()))
 
 
 def _cell_from_text(text: str) -> Cell:
@@ -238,7 +214,7 @@ def _cell_from_text(text: str) -> Cell:
 
 
 def parse_csv(text: str) -> tuple[list[str], list[list[Cell]]]:
-    """render_csv's text read back as (headers, typed rows), without metadata:
+    """`mvpark`'s --format csv text read back as (headers, typed rows), without metadata:
     a cell that reads as an int, such as the permutation 312, comes back as an int."""
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]

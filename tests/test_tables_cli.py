@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import re
@@ -66,9 +68,10 @@ def test_conjecture_rows_equal_the_rows_read_from_the_forward_program():
                        "yes" if split == best else "no", format_permutation(min(argmax))]
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(capsys):
     t = tables.bounds_table(4)
-    text = tables.render_csv(t)
+    code, text, _ = run_cli(capsys, "table", "bounds", "--max-n", "4", "--format", "csv")
+    assert code == 0
     assert text.endswith("\n") and "\r" not in text
     assert '"' not in text
     headers, rows = tables.parse_csv(text)
@@ -76,10 +79,12 @@ def test_csv_round_trip():
     assert rows == t.rows
 
 
-def test_csv_round_trip_reads_int_like_cells_as_ints():
+def test_csv_round_trip_reads_int_like_cells_as_ints(capsys):
     """Text cells survive the round trip, but a permutation cell reads as an int."""
     t = tables.conjecture_table(5)
-    headers, rows = tables.parse_csv(tables.render_csv(t))
+    code, text, _ = run_cli(capsys, "table", "conjecture", "--max-n", "5", "--format", "csv")
+    assert code == 0
+    headers, rows = tables.parse_csv(text)
     assert headers == t.headers
     assert rows == [[3, 4, 2, 3, 4, "no", 312], [4, 9, 2, 8, 9, "no", 4312],
                     [5, 21, 4, 20, 21, "no", 54132]]
@@ -88,13 +93,19 @@ def test_csv_round_trip_reads_int_like_cells_as_ints():
         tables.parse_csv("")
 
 
-def test_render_json_and_pretty():
+def test_render_json_and_pretty(capsys):
     t = tables.bounds_table(3)
-    data = json.loads(tables.render_json(t))
+    code, text, _ = run_cli(capsys, "table", "bounds", "--max-n", "3", "--format", "json")
+    data = json.loads(text)
+    assert code == 0 and list(data) == ["name", "headers", "rows", "metadata"]
     assert data["rows"] == t.rows
     assert data["metadata"]["max_n"] == 3
-    pretty = tables.render_pretty(t)
-    assert "subgraphs" in pretty and "# bounds" in pretty
+    pretty = list(tables.render_pretty(t))
+    assert pretty[:3] == ["# bounds", "n  subgraphs  p2free  valid  hs",
+                          "-  ---------  ------  -----  --"]
+    assert pretty[-2] == "3          6       5      4   4" and pretty[-1].startswith("# max_n=3 ")
+    code, text, _ = run_cli(capsys, "table", "bounds", "--max-n", "3")
+    assert code == 0 and text.splitlines()[:-1] == pretty[:-1]
 
 
 # --- CLI ---------------------------------------------------------------
@@ -584,6 +595,41 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0 and not out
     assert target.read_text(encoding="utf-8") == (
         "3412\nbump: car 2 from spot 1 to spot 2\nbump: car 2 from spot 2 to spot 4\n")
+    masked = re.compile(r'(wall_time_s"?[=:] ?)[0-9.]+')
+    for argv in (["fibre", "--perm", "4,7,1,6,3,5,2", "--method", "both"],
+                 ["table", "dec-vs-split", "--max-n", "20"]):
+        for fmt in ("pretty", "csv", "json"):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out.count("\n") > 10
+            target = tmp_path / f"{argv[0]}.{fmt}"
+            assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+            assert masked.sub(r"\1", target.read_text(encoding="utf-8")) == masked.sub(r"\1", out)
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt, md5", [
+    ("pretty", "5fb5a34041e673ed4a6513b41c6feb09"),
+    ("csv", "2c9707a0046c9b51f843cf939c7c19b1"),
+    ("json", "35598cd8c39ce0ae11db0313eaabacb2"),
+])
+def test_cli_writes_a_large_output_in_a_few_blocks(monkeypatch, fmt, md5):
+    """dec(12)'s 15,511 members go out in a handful of writes, not one per line: under
+    PYTHONUNBUFFERED every write to stdout is a system call."""
+    sink = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["fibre", "--perm", ",".join(map(str, range(12, 0, -1))), "--format", fmt]) == 0
+    text = sink.getvalue()
+    assert hashlib.md5(text.encode()).hexdigest() == md5
+    assert text.count("\n") > 15_511 and 1 <= sink.writes <= 8
 
 
 @pytest.mark.parametrize("argv", [
@@ -621,11 +667,24 @@ def test_the_console_entry_runs_as_the_installed_launcher_does(argv, code, out, 
     assert result.stderr.endswith(err)
 
 
-def test_cli_closed_stdout_exits_2_without_a_traceback():
-    with subprocess.Popen(  # about 790 kB of output, far more than a pipe holds
-            [sys.executable, "-m", "mvparking.cli", "motzkin", "noncross", "-n", "13"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src()) as proc:
-        assert proc.stdout.readline() == b"\n"  # the empty matching comes first
+DEC_13 = ",".join(map(str, range(13, 0, -1)))
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["motzkin", "noncross", "-n", "13"], b"\n"),  # the empty matching comes first
+    (["fibre", "--perm", DEC_13], b"1,2,3,4,5,6,7,6,5,4,3,2,1\n"),
+    (["fibre", "--perm", DEC_13, "--format", "csv"],
+     b"p1,p2,p3,p4,p5,p6,p7,p8,p9,p10,p11,p12,p13\n"),
+    (["fibre", "--perm", DEC_13, "--format", "json"], b"{\n"),
+], ids=["noncross", "fibre-pretty", "fibre-csv", "fibre-json"])
+def test_cli_closed_stdout_exits_2_without_a_traceback(argv, first):
+    """About 0.8 to 1.5 MB of output, far more than a pipe holds, unbuffered: one large write
+    that the closed pipe cuts short is dropped without an error, so the write after it must
+    meet the closed pipe."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "mvparking.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**_env_with_src(), "PYTHONUNBUFFERED": "1"}) as proc:
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read().decode()
     assert (proc.returncode, err) == (2, "error: cannot write output: [Errno 32] Broken pipe\n")
