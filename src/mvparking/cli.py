@@ -12,8 +12,8 @@ choices and `--out` among them; a `cmd_*` checks only rules that span two
 flags or need parsed input, and every size guard through `_guard`, before any
 work.  Each `cmd_*` returns its exit status and an `_Output`, which holds its
 pretty lines, its JSON object and, for tabular output, its CSV rows, each
-possibly lazy.  `main` alone renders the one `--format` names, as a stream of
-text chunks, and writes them in blocks: no output is held as one string.
+possibly lazy.  `main` alone writes the one `--format` names, a line or a JSON
+token at a time, through one buffered file: no output is held as one string.
 
 `main` builds only the parsers on the path its argv names, since argparse
 makes a help formatter per declared option, and builds the whole tree where
@@ -26,11 +26,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
-from types import SimpleNamespace
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from . import tables, verify
@@ -58,16 +56,12 @@ from .subgraphs import fibre_brute, fibre_via_subgraphs, format_arcs
 NONCROSS_GUARD = 14
 # Largest `fibre --perm` without --force.  Listing dec(14) (113,634 members) takes 0.34-0.67 s
 # end to end and bipart(8,8) 0.3-0.4 s on a 2-vCPU VM, but the output grows with the fibre:
-# dec(16) takes 2.3-4.5 s at 222-223 MiB in every format, the peak of the listing itself.
+# dec(16) takes 2.3-5.2 s at 222-223 MiB in every format, the peak of the listing itself.
 FIBRE_GUARD = 14
 # Largest grain total for `sandpile stabilise` without --force.  A toppling removes one grain,
 # so the grains bound the topplings and the witness whatever the vertex count; the worst case
 # measured, 300,000 grains piled on one of 100 vertices, takes 1.2 s end to end.
 STABILISE_GUARD = 300_000
-# Text chunks joined per write.  Under PYTHONUNBUFFERED each write to stdout is one system call:
-# dec(16)'s 853,468 lines took 0.7 s to /dev/null and 1.2-1.9 s to a pipe written one per call,
-# against 0.06 s in blocks, on a 2-vCPU VM.
-WRITE_BLOCK = 4096
 
 
 def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
@@ -79,7 +73,8 @@ def _guard(args, amount: str, size: int, guard: int, what: str) -> None:
 class _Output(NamedTuple):
     """What one command produced, in the form each --format reads: `lines` for
     pretty, `data` for json and, for tabular output, `rows` (the headers first)
-    for csv.  Only the one asked for is read.  `failures` lists the identity
+    for csv.  Only the one asked for is read; the others cost little to build, as
+    the long ones are lazy or share one list.  `failures` lists the identity
     checks a table failed, which go to stderr."""
 
     lines: Iterable[str]
@@ -319,19 +314,34 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser if built else build_parser()
 
 
-def _render(fmt: str, out: _Output) -> Iterable[str]:
-    """`out` in --format `fmt`, as a stream of text chunks that ends in a newline.
+def _sink(path: str | None):
+    """The file main writes to: `path`, or else stdout through a buffered writer of its own.
 
-    json gives the bytes of `json.dumps(data, indent=2)`, a token at a time.
-    csv writes integer cells unquoted, with LF line endings, and never the
-    metadata: it is the diff-friendly golden and depends on the cells alone.
+    Under PYTHONUNBUFFERED, `sys.stdout` makes each write one system call and
+    drops the rest of a write that a closed pipe or a full disk cuts short; a
+    `BufferedWriter` writes in blocks and retries a short write until it fails.
+    A stdout with no descriptor (a `StringIO`) is written to as it is.
     """
+    if not path:
+        try:
+            path = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return nullcontext(sys.stdout)
+        sys.stdout.flush()
+    return open(path, "w", encoding="utf-8", closefd=isinstance(path, str))
+
+
+def _write(fmt: str, out: _Output, sink) -> None:
+    """Write `out` in --format `fmt`, ending in a newline: json as `json.dumps(data, indent=2)`
+    would, csv with integer cells unquoted, LF line endings and never the metadata (it is the
+    diff-friendly golden and depends on the cells alone)."""
     if fmt == "json":
-        return chain(json.JSONEncoder(indent=2).iterencode(out.data), ["\n"])
-    if fmt == "csv":  # `writerow` returns what its file's `write` does: here, the line itself
-        writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
-        return map(writer.writerow, out.rows)
-    return (line + "\n" for line in out.lines)
+        json.dump(out.data, sink, indent=2)
+        sink.write("\n")
+    elif fmt == "csv":
+        csv.writer(sink, lineterminator="\n").writerows(out.rows)
+    else:
+        sink.writelines(line + "\n" for line in out.lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -341,15 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         status, out = args.func(args)
-        chunks = _render(args.format, out)
         try:
-            with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as sink:
-                while block := "".join(islice(chunks, WRITE_BLOCK)):
-                    sink.write(block)
+            with _sink(args.out) as sink:
+                _write(args.format, out, sink)
         except OSError as exc:
-            if not args.out:  # so would the interpreter's last flush of stdout (say, a closed pipe)
-                with open(os.devnull, "w") as devnull:
-                    os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise ValueError(f"cannot write output: {exc}") from None
         for line in out.failures:
             print(line, file=sys.stderr)

@@ -606,30 +606,31 @@ def test_cli_out_file(tmp_path, capsys):
             assert masked.sub(r"\1", target.read_text(encoding="utf-8")) == masked.sub(r"\1", out)
 
 
-class _CountedWrites(io.StringIO):
-    def __init__(self) -> None:
-        super().__init__()
-        self.writes = 0
-
-    def write(self, text: str) -> int:
-        self.writes += 1
-        return super().write(text)
+def _write_calls() -> int:
+    """The write system calls this process has made, from Linux's /proc/self/io."""
+    with open("/proc/self/io", encoding="ascii") as io_counts:
+        return int(re.search(r"^syscw: (\d+)$", io_counts.read(), re.MULTILINE).group(1))
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="counts writes in /proc/self/io")
 @pytest.mark.parametrize("fmt, md5", [
     ("pretty", "5fb5a34041e673ed4a6513b41c6feb09"),
     ("csv", "2c9707a0046c9b51f843cf939c7c19b1"),
     ("json", "35598cd8c39ce0ae11db0313eaabacb2"),
 ])
-def test_cli_writes_a_large_output_in_a_few_blocks(monkeypatch, fmt, md5):
-    """dec(12)'s 15,511 members go out in a handful of writes, not one per line: under
-    PYTHONUNBUFFERED every write to stdout is a system call."""
-    sink = _CountedWrites()
-    monkeypatch.setattr(sys, "stdout", sink)
-    assert cli.main(["fibre", "--perm", ",".join(map(str, range(12, 0, -1))), "--format", fmt]) == 0
-    text = sink.getvalue()
-    assert hashlib.md5(text.encode()).hexdigest() == md5
-    assert text.count("\n") > 15_511 and 1 <= sink.writes <= 8
+def test_cli_writes_a_large_output_in_a_few_blocks(tmp_path, monkeypatch, fmt, md5):
+    """dec(12)'s 15,511 members go out in blocks, not one system call per line, to a stdout
+    made as PYTHONUNBUFFERED makes it: text written through to the file descriptor."""
+    target = tmp_path / "out"
+    with io.TextIOWrapper(io.FileIO(target, "w"), encoding="utf-8", write_through=True) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = _write_calls()
+        assert cli.main(["fibre", "--perm", ",".join(map(str, range(12, 0, -1))),
+                         "--format", fmt]) == 0
+        writes = _write_calls() - before
+    data = target.read_bytes()
+    assert hashlib.md5(data).hexdigest() == md5
+    assert data.count(b"\n") > 15_511 and 1 <= writes <= len(data) // 4096 + 8
 
 
 @pytest.mark.parametrize("argv", [
@@ -668,22 +669,31 @@ def test_the_console_entry_runs_as_the_installed_launcher_does(argv, code, out, 
 
 
 DEC_13 = ",".join(map(str, range(13, 0, -1)))
+SMALL_FIBRE = "1,7,6,2,10,12,8,11,13,4,9,14,5,3"  # 3,734 members, 116 kB in pretty
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, first", [
     (["motzkin", "noncross", "-n", "13"], b"\n"),  # the empty matching comes first
     (["fibre", "--perm", DEC_13], b"1,2,3,4,5,6,7,6,5,4,3,2,1\n"),
     (["fibre", "--perm", DEC_13, "--format", "csv"],
      b"p1,p2,p3,p4,p5,p6,p7,p8,p9,p10,p11,p12,p13\n"),
     (["fibre", "--perm", DEC_13, "--format", "json"], b"{\n"),
-], ids=["noncross", "fibre-pretty", "fibre-csv", "fibre-json"])
-def test_cli_closed_stdout_exits_2_without_a_traceback(argv, first):
-    """About 0.8 to 1.5 MB of output, far more than a pipe holds, unbuffered: one large write
-    that the closed pipe cuts short is dropped without an error, so the write after it must
-    meet the closed pipe."""
+    (["fibre", "--perm", SMALL_FIBRE], b"1,2,2,3,7,3,2,7,8,5,8,6,9,12\n"),
+    (["fibre", "--perm", SMALL_FIBRE, "--format", "csv"],
+     b"p1,p2,p3,p4,p5,p6,p7,p8,p9,p10,p11,p12,p13,p14\n"),
+    (["fibre", "--perm", SMALL_FIBRE, "--format", "json"], b"{\n"),
+], ids=["noncross", "fibre-pretty", "fibre-csv", "fibre-json",
+        "small-fibre-pretty", "small-fibre-csv", "small-fibre-json"])
+def test_cli_closed_stdout_exits_2_without_a_traceback(argv, first, unbuffered):
+    """100 kB to 1.5 MB of output, more than a pipe holds.  The reader closes the pipe after
+    one line, so a write is cut short; that must be reported, whether or not Python buffers
+    stdout, and the interpreter's last flush of stdout must not print a second error."""
+    env = {k: v for k, v in _env_with_src().items() if k != "PYTHONUNBUFFERED"}
     with subprocess.Popen(
             [sys.executable, "-m", "mvparking.cli", *argv], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env={**_env_with_src(), "PYTHONUNBUFFERED": "1"}) as proc:
+            stderr=subprocess.PIPE, env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+    ) as proc:
         assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read().decode()
